@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ShockLabError
+from .errors import ParseError, ShockLabError
 from .flux import make_flux
 from .laxoleinik import value_function
 from .legendre import legendre_dual
@@ -21,18 +21,26 @@ from .characteristics import r_curve
 from .riemann import solve_riemann
 from .scenario import PRESETS, load_scenario, preset, run_batch, run_scenario
 from .singleshock import certify, check_main_conditions
-from .step import StepFunction
+from .step import StepFunction, step
 from .tracking import init_state, run_until_single_front
 
 
+def _read_fields(path: str, *keys: str) -> list:
+    """The named fields of a JSON object file; any read failure is a ParseError."""
+    try:
+        raw = json.loads(Path(path).read_text())
+        return [raw[k] for k in keys]
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+        raise ParseError(f"{path}: {type(e).__name__}: {e}")
+
+
 def _load_flux(path: str):
-    raw = json.loads(Path(path).read_text())
-    return make_flux(raw["breakpoints"], raw["values"])
+    return make_flux(*_read_fields(path, "breakpoints", "values"))
 
 
 def _load_step(path: str) -> StepFunction:
-    raw = json.loads(Path(path).read_text())
-    return StepFunction(tuple(raw["positions"]), tuple(raw["values"]))
+    positions, values = _read_fields(path, "positions", "values")
+    return step(values, positions)
 
 
 def _scenario_from_args(args) -> object:

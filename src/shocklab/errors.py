@@ -91,6 +91,10 @@ class NoRootInInterval(ShockLabError):
     pass
 
 
+class BoundViolated(ShockLabError):
+    """A measured collapse time contradicts the analytic bound T0 <= T_tilde."""
+
+
 # -- scenario ingestion ------------------------------------------------------------
 
 class ParseError(ShockLabError):

@@ -11,7 +11,7 @@ so a modest margin around the data suffices).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -25,6 +25,7 @@ from .errors import (
     EmptyMesh,
     LengthMismatch,
     NonMonotoneBreakpoints,
+    NotConvex,
     StateOutOfRange,
     WrongTriplet,
 )
@@ -116,11 +117,17 @@ def make_flux(breakpoints: Sequence[float], values: Sequence[float]) -> Flux:
         raise LengthMismatch("need at least two breakpoints")
     if any(b >= c for b, c in zip(bp, bp[1:])):
         raise NonMonotoneBreakpoints("breakpoints must be strictly increasing")
+    out = _flux_unchecked(bp, vals)
+    if any(not math.isfinite(s) for s in out.slopes):
+        raise NonMonotoneBreakpoints("segment slopes must be finite")
+    return out
+
+
+def _flux_unchecked(bp: tuple[float, ...], vals: tuple[float, ...]) -> Flux:
+    """Flux from float breakpoints already known to increase strictly."""
     slopes = tuple(
         (vals[i + 1] - vals[i]) / (bp[i + 1] - bp[i]) for i in range(len(bp) - 1)
     )
-    if any(not math.isfinite(s) for s in slopes):
-        raise NonMonotoneBreakpoints("segment slopes must be finite")
     return Flux(bp, vals, slopes)
 
 
@@ -261,7 +268,7 @@ def chord_slope_check(fl: Flux, alpha: float, beta: float, C: float, D: float) -
     """True iff f(C), f(D) lie strictly below the alpha-beta chord.
 
     When the premise holds, f'(alpha-) < chord slope < f'(beta-) must follow
-    for a convex-convex triplet; asserted here as a built-in consistency hook.
+    for a convex-convex triplet; a violation raises ChordSlopeViolated.
     """
     kind = classify_triplet(fl, C, D)
     if not kind.is_convex_convex:
@@ -273,9 +280,8 @@ def chord_slope_check(fl: Flux, alpha: float, beta: float, C: float, D: float) -
     ok = fl(C) < line_c and fl(D) < line_d
     if ok:
         m = chord_slope(fl, alpha, beta)
-        assert fl.left_slope(alpha) < m < fl.left_slope(beta), (
-            "chord-slope consequence violated on the lattice"
-        )
+        if not fl.left_slope(alpha) < m < fl.left_slope(beta):
+            raise ChordSlopeViolated("chord-slope consequence violated on the lattice")
     return ok
 
 
@@ -284,6 +290,12 @@ def chord_slope_check(fl: Flux, alpha: float, beta: float, C: float, D: float) -
 # ---------------------------------------------------------------------------
 
 Q_SUBDIVISIONS = 16
+
+
+def _convex_or_raise(out: Flux) -> Flux:
+    if not out.is_convex(tol=1e-9):
+        raise NotConvex("convex modification produced a non-convex result")
+    return out
 
 
 def convex_modify(fl: Flux, alpha: float, beta: float) -> Flux:
@@ -340,9 +352,7 @@ def convex_modify(fl: Flux, alpha: float, beta: float) -> Flux:
         if x >= beta:
             nodes.append(x)
             vals.append(fl.values[i])
-    out = make_flux(nodes, vals)
-    assert out.is_convex(tol=1e-9), "convex modification produced a non-convex result"
-    return out
+    return _convex_or_raise(make_flux(nodes, vals))
 
 
 def convex_modify_onesided(fl: Flux, C: float) -> Flux:
@@ -360,9 +370,7 @@ def convex_modify_onesided(fl: Flux, C: float) -> Flux:
         if x > C:
             nodes.append(x)
             vals.append(q(x))
-    out = make_flux(nodes, vals)
-    assert out.is_convex(tol=1e-9)
-    return out
+    return _convex_or_raise(make_flux(nodes, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +392,10 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
         raise EmptyInterval(f"need a < b, got [{a}, {b}]")
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    pts = [(a, fl(a))]
-    for x in fl.nodes_in(a, b, closed=False):
-        pts.append((x, fl(x)))
-    pts.append((b, fl(b)))
+    a, b = float(a), float(b)
+    lo, hi = bisect_right(fl.breakpoints, a), bisect_left(fl.breakpoints, b)
+    # f at a breakpoint is its nodal value, so the interior nodes need no evaluation
+    pts = [(a, fl(a)), *zip(fl.breakpoints[lo:hi], fl.values[lo:hi]), (b, fl(b))]
     sgn = 1.0 if side == "lower" else -1.0
     tol = 1e-12 * fl._scale() * (1.0 + max(abs(p[1]) for p in pts))
     chain: list[tuple[float, float]] = []
@@ -395,4 +403,5 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
         while len(chain) >= 2 and sgn * _cross(chain[-2], chain[-1], p) <= tol:
             chain.pop()
         chain.append(p)
-    return make_flux([p[0] for p in chain], [p[1] for p in chain])
+    bp, vals = zip(*chain)
+    return _flux_unchecked(bp, vals)

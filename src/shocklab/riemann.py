@@ -63,18 +63,20 @@ def solve_riemann(fl: Flux, u_l: float, u_r: float) -> WaveFan:
             raise StateOutOfRange(f"state {u} outside working interval")
     if u_l == u_r:
         return WaveFan(())
+    # the hull holds f exactly at its nodes, so each Rankine-Hugoniot quotient
+    # (f(l) - f(r)) / (l - r) is read off it in the same operand order
     if u_l < u_r:
         h = hull(fl, u_l, u_r, "lower")
-        nodes = h.breakpoints
+        nodes, vals = h.breakpoints, h.values
         fronts = [
-            Front(front_speed(fl, nodes[i], nodes[i + 1]), nodes[i], nodes[i + 1])
+            Front((vals[i] - vals[i + 1]) / (nodes[i] - nodes[i + 1]), nodes[i], nodes[i + 1])
             for i in range(len(nodes) - 1)
         ]
     else:
         h = hull(fl, u_r, u_l, "upper")
-        nodes = h.breakpoints
+        nodes, vals = h.breakpoints, h.values
         fronts = [
-            Front(front_speed(fl, nodes[i + 1], nodes[i]), nodes[i + 1], nodes[i])
+            Front((vals[i + 1] - vals[i]) / (nodes[i + 1] - nodes[i]), nodes[i + 1], nodes[i])
             for i in reversed(range(len(nodes) - 1))
         ]
     return WaveFan(tuple(fronts))

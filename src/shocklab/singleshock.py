@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
+    BoundViolated,
     HypothesisNotChecked,
     NoRootInInterval,
     NotATriplet,
@@ -348,13 +349,12 @@ def certify(
     if t_tilde is not None:
         # the chord-speed bound must dominate the measured collapse time
         if report.emerged:
-            assert report.t0 <= t_tilde + 1e-9 * (1.0 + t_tilde), (
-                f"measured T0={report.t0} exceeds the analytic bound {t_tilde}"
-            )
-        else:
-            assert horizon < t_tilde, (
-                f"no emergence by t={horizon} despite bound {t_tilde}"
-            )
+            if not report.t0 <= t_tilde + 1e-9 * (1.0 + t_tilde):
+                raise BoundViolated(
+                    f"measured T0={report.t0} exceeds the analytic bound {t_tilde}"
+                )
+        elif not horizon < t_tilde:
+            raise BoundViolated(f"no emergence by t={horizon} despite bound {t_tilde}")
 
     gamma = None
     if report.emerged and span > 0:

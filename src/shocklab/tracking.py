@@ -7,24 +7,33 @@ until two or more meet, where the outermost states pose a fresh Riemann
 problem whose fan replaces the incoming fronts.  For piecewise-affine flux
 and finitely many jumps the event count is finite; a hard guard fences
 adversarial float drift.
+
+Live fronts form a doubly linked chain, left to right.  Collisions of
+neighbours wait in a heap keyed by (time, position, sequence); an entry goes
+stale when either front dies, which the front's ``alive`` flag shows in O(1),
+so an event costs O(log n) in the number n of live fronts: pop, splice the
+fan into the chain, schedule the two new neighbour pairs.  Fans are memoized
+per (left, right) state pair for the life of a SimState, since a fan is a
+pure function of its two lattice states.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .errors import EventOverflow, StateOutOfRange
 from .flux import Flux
-from .riemann import Front, solve_riemann
+from .riemann import Front, WaveFan, solve_riemann
 from .step import StepFunction, step
 
 PARALLEL_TOL = 1e-14      # speed differences below this never collide
 MAX_EVENTS = 10 ** 6
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class _LiveFront:
     fid: int
     x0: float
@@ -32,6 +41,9 @@ class _LiveFront:
     speed: float
     left: float
     right: float
+    prev: _LiveFront | None = field(default=None, repr=False)
+    next: _LiveFront | None = field(default=None, repr=False)
+    alive: bool = True
 
     def pos(self, t: float) -> float:
         return self.x0 + self.speed * (t - self.t0)
@@ -97,23 +109,40 @@ class EmergenceReport:
 class SimState:
     """Single-owner mutable simulation state."""
 
-    def __init__(self, flux: Flux, fronts: list[_LiveFront], t: float = 0.0):
+    def __init__(
+        self,
+        flux: Flux,
+        fronts: list[_LiveFront],
+        t: float = 0.0,
+        fans: dict | None = None,
+    ):
         self.flux = flux
         self.t = t
-        self.fronts = fronts
+        self.head: _LiveFront | None = fronts[0] if fronts else None
         self.events_processed = 0
         self.event_log: list[EventRecord] = []
         self.eps_x = 1e-9 * (flux.hi - flux.lo)
         self.max_events = MAX_EVENTS
-        self._heap: list[tuple[float, float, int, int, int]] = []
+        self._heap: list[tuple[float, float, int, _LiveFront, _LiveFront]] = []
         self._seq = itertools.count()
-        self._alive: dict[int, _LiveFront] = {f.fid: f for f in fronts}
+        self._fans: dict = {} if fans is None else fans
         self._fid = itertools.count(len(fronts))
         self._constant_value = fronts[0].left if fronts else 0.0
-        self.births: dict[int, _LiveFront] = dict(self._alive)
+        self.births: dict[int, _LiveFront] = {f.fid: f for f in fronts}
         self.deaths: dict[int, float] = {}
-        for i in range(len(fronts) - 1):
-            self._schedule(fronts[i], fronts[i + 1])
+        for a, b in zip(fronts, fronts[1:]):
+            a.next, b.prev = b, a
+            self._schedule(a, b)
+
+    @property
+    def fronts(self) -> list[_LiveFront]:
+        """Live fronts, left to right."""
+        out = []
+        f = self.head
+        while f is not None:
+            out.append(f)
+            f = f.next
+        return out
 
     # -- scheduling --------------------------------------------------------
 
@@ -128,91 +157,103 @@ class SimState:
     def _schedule(self, a: _LiveFront, b: _LiveFront) -> None:
         hit = self._collision(a, b)
         if hit is not None:
-            heapq.heappush(self._heap, (hit[0], hit[1], next(self._seq), a.fid, b.fid))
+            heapq.heappush(self._heap, (hit[0], hit[1], next(self._seq), a, b))
 
-    def _adjacent(self, fa: int, fb: int) -> int | None:
-        """Index of front fa if fa, fb are alive and adjacent, else None."""
-        a = self._alive.get(fa)
-        b = self._alive.get(fb)
-        if a is None or b is None:
-            return None
-        i = self.fronts.index(a)
-        if i + 1 < len(self.fronts) and self.fronts[i + 1] is b:
-            return i
+    def _peek(self) -> tuple[float, float, _LiveFront, _LiveFront] | None:
+        """Earliest valid heap entry as (t, x, a, b); drops stale ones.
+
+        An entry is valid while both fronts live and are still neighbours.
+        """
+        heap = self._heap
+        while heap:
+            t_hit, x_hit, _, a, b = heap[0]
+            if a.alive and b.alive and a.next is b:
+                return t_hit, x_hit, a, b
+            heapq.heappop(heap)
         return None
 
-    def _peek(self) -> tuple[float, float, int, int] | None:
-        """Earliest valid heap entry as (t, x, fid_a, fid_b); drops stale ones."""
-        while self._heap:
-            t_hit, x_hit, _, fa, fb = self._heap[0]
-            if self._adjacent(fa, fb) is None:
-                heapq.heappop(self._heap)
-                continue
-            return t_hit, x_hit, fa, fb
-        return None
+    def _group(
+        self, t_hit: float, x_hit: float, a: _LiveFront, b: _LiveFront
+    ) -> list[_LiveFront]:
+        """Maximal run of neighbours around a, b sitting within eps_x of the hit."""
+        eps = self.eps_x
+        while a.prev is not None and abs(a.prev.pos(t_hit) - x_hit) <= eps:
+            a = a.prev
+        while b.next is not None and abs(b.next.pos(t_hit) - x_hit) <= eps:
+            b = b.next
+        block = [a]
+        while a is not b:
+            a = a.next
+            block.append(a)
+        return block
 
-    def _group(self, t_hit: float, x_hit: float, i: int) -> tuple[int, int]:
-        """Maximal contiguous block of fronts sitting within eps_x of the hit."""
-        j = i + 1
-        while i - 1 >= 0 and abs(self.fronts[i - 1].pos(t_hit) - x_hit) <= self.eps_x:
-            i -= 1
-        while j + 1 < len(self.fronts) and abs(self.fronts[j + 1].pos(t_hit) - x_hit) <= self.eps_x:
-            j += 1
-        return i, j
-
-    def _process(self, t_hit: float, x_hit: float, fa: int, fb: int) -> None:
+    def _process(self, t_hit: float, x_hit: float, a: _LiveFront, b: _LiveFront) -> None:
         if self.events_processed >= self.max_events:
             raise EventOverflow(f"more than {self.max_events} events")
-        i = self._adjacent(fa, fb)
-        assert i is not None
         self.t = t_hit
-        i, j = self._group(t_hit, x_hit, i)
-        block = self.fronts[i : j + 1]
-        fan = solve_riemann(self.flux, block[0].left, block[-1].right)
-        born = [
-            _LiveFront(next(self._fid), x_hit, t_hit, f.speed, f.left, f.right)
-            for f in fan
-        ]
+        block = self._group(t_hit, x_hit, a, b)
+        before, after = block[0].prev, block[-1].next
+        fan = _fan(self._fans, self.flux, block[0].left, block[-1].right)
         for f in block:
-            del self._alive[f.fid]
+            # unlinked, a dead front holds no reference cycle, so a finished
+            # state is freed by reference counting, not the cycle collector
+            f.alive = False
+            f.prev = f.next = None
             self.deaths[f.fid] = t_hit
-        self.fronts[i : j + 1] = born
-        for f in born:
-            self._alive[f.fid] = f
+        # splice the fan's fronts between before and after
+        left = before
+        for w in fan:
+            f = _LiveFront(next(self._fid), x_hit, t_hit, w.speed, w.left, w.right, prev=left)
+            if left is None:
+                self.head = f
+            else:
+                left.next = f
             self.births[f.fid] = f
-        if not self.fronts:
+            left = f
+        if left is None:
+            self.head = after
+        else:
+            left.next = after
+        if after is not None:
+            after.prev = left
+        if self.head is None:
             self._constant_value = block[0].left
         self.events_processed += 1
         self.event_log.append(
             EventRecord(t_hit, x_hit, tuple(f.freeze() for f in block), tuple(fan))
         )
         # new adjacencies: block edges only (fan speeds increase, so no inner events)
-        if born:
-            if i - 1 >= 0:
-                self._schedule(self.fronts[i - 1], born[0])
-            k = i + len(born)
-            if k < len(self.fronts):
-                self._schedule(born[-1], self.fronts[k])
-        elif 0 < i <= len(self.fronts) - 1:
-            self._schedule(self.fronts[i - 1], self.fronts[i])
+        if fan:
+            if before is not None:
+                self._schedule(before, before.next)
+            if after is not None:
+                self._schedule(after.prev, after)
+        elif before is not None and after is not None:
+            self._schedule(before, after)
 
     # -- queries -----------------------------------------------------------
 
     def profile(self, t: float | None = None) -> StepFunction:
         """Piecewise-constant snapshot, zero-width pieces merged."""
         t = self.t if t is None else t
-        if not self.fronts:
+        if self.head is None:
             return StepFunction((), (self._constant_value,))
         pos: list[float] = []
-        vals: list[float] = [self.fronts[0].left]
-        for f in self.fronts:
+        vals: list[float] = [self.head.left]
+        merged = False
+        f = self.head
+        while f is not None:
             x = f.pos(t)
             if pos and x <= pos[-1]:
                 vals[-1] = f.right
+                merged = True
             else:
                 pos.append(x)
                 vals.append(f.right)
-        return step(vals, pos)
+            f = f.next
+        # neighbours share their middle state, so only a merge can leave two
+        # equal values side by side for step() to fuse
+        return step(vals, pos) if merged else StepFunction(tuple(pos), tuple(vals))
 
     def front_snapshot(self, t: float | None = None) -> list[tuple[float, float, float, float]]:
         t = self.t if t is None else t
@@ -222,18 +263,33 @@ class SimState:
         return self.profile().tv()
 
 
+def _fan(fans: dict, fl: Flux, l: float, r: float) -> WaveFan:
+    """Riemann fan of (l, r) from the memo ``fans``, solved on a miss.
+
+    Fans are pure functions of the two lattice states, so one solve per pair
+    serves every later collision with the same outer states.
+    """
+    # 0.0 == -0.0, but a fan echoes the sign of its outer states
+    key = (l, r) if l and r else (l, r, math.copysign(1.0, l), math.copysign(1.0, r))
+    fan = fans.get(key)
+    if fan is None:
+        fan = fans[key] = solve_riemann(fl, l, r)
+    return fan
+
+
 def init_state(fl: Flux, u0: StepFunction) -> SimState:
     """Replace each initial jump by its Riemann fan and prime the event queue."""
     tol = 1e-12 * fl._scale()
     for v in u0.values:
         if not fl.contains(v, tol):
             raise StateOutOfRange(f"data value {v} outside working interval")
+    fans: dict = {}
     fronts: list[_LiveFront] = []
     fid = itertools.count()
     for i, x in enumerate(u0.positions):
-        for f in solve_riemann(fl, u0.values[i], u0.values[i + 1]):
+        for f in _fan(fans, fl, u0.values[i], u0.values[i + 1]):
             fronts.append(_LiveFront(next(fid), x, 0.0, f.speed, f.left, f.right))
-    state = SimState(fl, fronts)
+    state = SimState(fl, fronts, fans=fans)
     state._constant_value = u0.values[0]
     return state
 
@@ -243,10 +299,9 @@ def next_event(s: SimState) -> EventPreview | None:
     head = s._peek()
     if head is None:
         return None
-    t_hit, x_hit, fa, fb = head
-    i = s._adjacent(fa, fb)
-    i, j = s._group(t_hit, x_hit, i)
-    return EventPreview(t_hit, x_hit, tuple(f.freeze() for f in s.fronts[i : j + 1]))
+    t_hit, x_hit, a, b = head
+    block = s._group(t_hit, x_hit, a, b)
+    return EventPreview(t_hit, x_hit, tuple(f.freeze() for f in block))
 
 
 def advance(s: SimState, t_target: float) -> StepFunction:
@@ -268,12 +323,13 @@ def _in_range(v: float, rng: tuple[float, float]) -> bool:
     return rng[0] - tol_lo <= v <= rng[1] + tol_hi
 
 
-def _separating_front(s: SimState, left_range, right_range) -> int | None:
-    """Leftmost front index splitting left-range pieces from right-range pieces."""
-    if not s.fronts:
+def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None:
+    """Leftmost front splitting left-range pieces from right-range pieces."""
+    fronts = s.fronts
+    if not fronts:
         return None
-    vals = [s.fronts[0].left] + [f.right for f in s.fronts]
-    n = len(s.fronts)
+    vals = [fronts[0].left] + [f.right for f in fronts]
+    n = len(fronts)
     left_ok = [False] * (n + 2)
     right_ok = [False] * (n + 2)
     acc = True
@@ -286,7 +342,7 @@ def _separating_front(s: SimState, left_range, right_range) -> int | None:
         right_ok[i] = acc
     for k in range(n):
         if left_ok[k] and right_ok[k + 1]:
-            return k
+            return fronts[k]
     return None
 
 
@@ -306,10 +362,9 @@ def run_until_single_front(
         raise ValueError("t_max must be positive")
 
     def check() -> tuple[float, bool, float | None, float | None]:
-        k = _separating_front(s, left_range, right_range)
-        if k is None:
+        f = _separating_front(s, left_range, right_range)
+        if f is None:
             return (s.t, False, None, None)
-        f = s.fronts[k]
         return (s.t, True, f.pos(s.t), f.speed)
 
     checks = [check()]

@@ -1,0 +1,105 @@
+"""Checks that used to be bare asserts raise typed errors, and malformed CLI
+inputs end with exit code 2 instead of a traceback."""
+
+import json
+import math
+
+import pytest
+
+from conftest import mesh
+from shocklab import errors, flux, singleshock
+from shocklab.cli import _load_step
+from shocklab.cli import main as cli_main
+from shocklab.step import step
+from shocklab.tracking import EmergenceReport
+
+
+def double_well():
+    c = math.sqrt(2.0 / 3.0)
+    return mesh("double_well", -3, 3, 0.05, corners=(-2.0, -c, 0.0, c, 2.0))
+
+
+def test_chord_slope_consequence_raises(monkeypatch):
+    c = math.sqrt(2.0 / 3.0)
+    monkeypatch.setattr(flux, "chord_slope", lambda fl, a, b: math.inf)
+    with pytest.raises(errors.ChordSlopeViolated):
+        flux.chord_slope_check(double_well(), -2.0, 2.0, -c, c)
+
+
+@pytest.mark.parametrize(
+    "modify", [lambda fl: flux.convex_modify(fl, -2.0, 2.0),
+               lambda fl: flux.convex_modify_onesided(fl, 0.0)],
+    ids=["convex_modify", "convex_modify_onesided"],
+)
+def test_convex_modification_check_raises(monkeypatch, modify):
+    monkeypatch.setattr(flux.Flux, "is_convex", lambda self, tol=0.0: False)
+    with pytest.raises(errors.NotConvex):
+        modify(double_well())
+
+
+def _fake_bound(monkeypatch, t_tilde):
+    monkeypatch.setattr(singleshock, "speed_gap_bound", lambda *a: t_tilde)
+    monkeypatch.setattr(singleshock, "analytic_T0_bound", lambda *a: t_tilde)
+
+
+def test_certify_t0_above_bound_exits_2(monkeypatch, capsys):
+    _fake_bound(monkeypatch, 1e-6)
+    assert cli_main(["certify", "--preset", "burgers_shock"]) == 2
+    assert "exceeds the analytic bound" in capsys.readouterr().err
+
+
+def test_certify_no_emergence_within_bound_exits_2(monkeypatch, capsys):
+    _fake_bound(monkeypatch, 1.0)
+    monkeypatch.setattr(
+        singleshock, "run_until_single_front",
+        lambda s, lr, rr, t_max: EmergenceReport(False, lr, rr, t_max),
+    )
+    assert cli_main(["certify", "--preset", "burgers_shock"]) == 2
+    assert "no emergence" in capsys.readouterr().err
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+FLUX_JSON = json.dumps({"breakpoints": [-2, 0, 2], "values": [2, 0, 2]})
+BAD_FILES = {
+    "missing": None,
+    "not_json": "{breakpoints: [",
+    "not_utf8": b"\xff\xfe\x00",
+    "no_values": json.dumps({"breakpoints": [-2, 0, 2], "positions": [0.0]}),
+    "not_an_object": json.dumps([[-2, 0, 2], [2, 0, 2]]),
+}
+
+
+def _bad(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    content = BAD_FILES[case]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_cli_bad_flux_file_exits_2(tmp_path, capsys, case):
+    assert cli_main(["dual", "--flux", _bad(tmp_path, case)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_cli_bad_data_file_exits_2(tmp_path, capsys, case):
+    rc = cli_main(["laxoleinik", "--flux", _write(tmp_path, "f.json", FLUX_JSON),
+                   "--data", _bad(tmp_path, case), "--x", "0.0", "--t", "1.0"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_load_step_normalizes(tmp_path):
+    raw = {"positions": [0, 1, 2], "values": [1, 1, 0.5, 0.5]}
+    loaded = _load_step(_write(tmp_path, "d.json", json.dumps(raw)))
+    assert loaded == step([1.0, 0.5], [1.0])
+    assert all(type(v) is float for v in loaded.values + loaded.positions)

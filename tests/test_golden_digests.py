@@ -1,8 +1,8 @@
 """Golden sha256 digests of front-tracking output.
 
-The event log (NDJSON, one sorted-key record per line), the final profile and
-the scenario report (minus its wall-clock ``meta``) are hashed for the six
-presets and for a seeded random suite on Burgers and non-convex fluxes.  Any
+The event log (NDJSON, one sorted-key record per line), the final profile,
+the scenario report (minus its wall-clock ``meta``) and every other artifact
+``run_scenario`` writes are hashed for the six presets and for a seeded random suite on Burgers and non-convex fluxes.  Any
 change to event order, front speeds, positions or states changes a digest, so
 a speed-up that passes this test leaves every artifact byte unchanged.
 
@@ -68,48 +68,69 @@ GOLDEN = {
         "profile": "1dd469e2b020c07a49116728e0dd73c77833dee2b5e11ee6cdcf52a709148e15",
         "n_events": 7,
         "report": "b84c6e87d36dfe9d25ae114cd18fdef18fba9add4615d3923e24728089e4eb21",
-        "events_file": "ebafe41b893fab3d9cb41abde95646c34d7b70ac10c67270b2252d784b0316a2",
-        "fronts_file": "4e1b01c0b4fdb8562db1c934c13fd933006f000fbe7f92c19c99adf0e2f4458b"
+        "buckley_leverett_events.ndjson": "ebafe41b893fab3d9cb41abde95646c34d7b70ac10c67270b2252d784b0316a2",
+        "buckley_leverett_fronts.csv": "4e1b01c0b4fdb8562db1c934c13fd933006f000fbe7f92c19c99adf0e2f4458b",
+        "buckley_leverett_profile_t0.csv": "b731b8e49b558fd665380b26bd71dbd621e479ce02ca49df48b9eca57003272c",
+        "buckley_leverett_profile_t10.csv": "9fb1d112c3d1d7920aa77598d9aa5a9dcc1877978dce2b69cd6d79c1e9413921",
+        "buckley_leverett_profile_t2.csv": "2d754c9628ebe20718ab859f12d909aa700d9431906e34f8e4369b193258d27c"
     },
     "preset/burgers_shock": {
         "events": "d26016ee935d2c33b1cbadecd65cfa9b380aa0f22e52b8d5317c1024024c7946",
         "profile": "f2e8f489724d952ef8acbcbe8defc32894ca8d1108e8047dcfd92eefed6b1d77",
         "n_events": 37,
         "report": "76e3aa95d237286a1487997cff408948d2d7db2d54373fa316422e2d1a9ecd2f",
-        "events_file": "d26016ee935d2c33b1cbadecd65cfa9b380aa0f22e52b8d5317c1024024c7946",
-        "fronts_file": "069668dc02a2611383019c5d0d208569d7032036be0b77b734e8ec2972e3f1f6"
+        "burgers_shock_events.ndjson": "d26016ee935d2c33b1cbadecd65cfa9b380aa0f22e52b8d5317c1024024c7946",
+        "burgers_shock_fronts.csv": "069668dc02a2611383019c5d0d208569d7032036be0b77b734e8ec2972e3f1f6",
+        "burgers_shock_profile_t0.csv": "0a5b57aa7da92b2ae2c04b89064dac8b6227988d7bbb35392c7a79a6e8516112",
+        "burgers_shock_profile_t1.csv": "6871b9f3465fb72f269b5c4bb9a7498f62eaed14948753c998cca3d296096daa",
+        "burgers_shock_profile_t20.csv": "e77fe50f147c7e1d677f1b9bb3ac66b48624e5bb8d6f3ae483cae04f7aef5a33",
+        "burgers_shock_profile_t5.csv": "61cf6615ab8a1d9da114a792b69489e6edbf9111bd5fe26ec9127a88c88b4056"
     },
     "preset/counterexample_1": {
         "events": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "profile": "687add0ea776d6120813daf262cec494f5922e54cd6b2d4f9db601bbc71c8ddf",
         "n_events": 0,
         "report": "b80ce66ba098b8ecb1e766534c1d1bab3371881ca2602a74536d2f9b01cf5c23",
-        "events_file": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "fronts_file": "91239d144dbf9795430f9aed071c8ee578925eb2e85400078ee2044582c32d6a"
+        "counterexample_1_events.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "counterexample_1_fronts.csv": "91239d144dbf9795430f9aed071c8ee578925eb2e85400078ee2044582c32d6a",
+        "counterexample_1_profile_t0.csv": "4ae6e63560f9b51b13fc1e3e1d4b15e8c7cb962261a0e655bd84927d995f65bc",
+        "counterexample_1_profile_t100.csv": "4ae6e63560f9b51b13fc1e3e1d4b15e8c7cb962261a0e655bd84927d995f65bc",
+        "counterexample_1_profile_t25.csv": "4ae6e63560f9b51b13fc1e3e1d4b15e8c7cb962261a0e655bd84927d995f65bc",
+        "counterexample_1_profile_t50.csv": "4ae6e63560f9b51b13fc1e3e1d4b15e8c7cb962261a0e655bd84927d995f65bc"
     },
     "preset/counterexample_2": {
         "events": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "profile": "6b4c3e1b837e78b11e61fe8de9ba4a83234c7810bce8e38b11b0ddd4ee96c533",
         "n_events": 0,
         "report": "f65f5fdca5ad3a1e7547080050e4b8cda504ded8097e1918560b01dbccbeb0e0",
-        "events_file": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "fronts_file": "6e32063f4aa6140bba7a2d014d5a3924443400e176bb8770ded1d7f378d025c7"
+        "counterexample_2_events.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "counterexample_2_fronts.csv": "6e32063f4aa6140bba7a2d014d5a3924443400e176bb8770ded1d7f378d025c7",
+        "counterexample_2_profile_t0.csv": "13c702410ba11904cf9599fbd06a6d2db7fef37ddafc3818ba80ec8de02965bf",
+        "counterexample_2_profile_t100.csv": "47487c8babc6f173e30817a27545c9e00aa7ff068d357897596d45bb951593bd",
+        "counterexample_2_profile_t25.csv": "5672bb5b5b67933aa512f53b2dfca1dece784514a318eb8d91c45a8457e5c799",
+        "counterexample_2_profile_t50.csv": "355d6269eb12356a2fcdebbe83e95b7bfe2f580d2af57c9ea59f4dfcdf54d51f"
     },
     "preset/double_well_i": {
         "events": "07f47d1406ea28c207e686f6c8c0ae0e0b00cf1aada841ac4d64b36224e770bf",
         "profile": "a3f6b308301f868be1612e702bb0f827a7d60ce1b8e8eeacecdd4a9436093f86",
         "n_events": 47,
         "report": "450b0809a99b29b3de6096f3175a3946172b975e967fcdd3df622909e66b7863",
-        "events_file": "07f47d1406ea28c207e686f6c8c0ae0e0b00cf1aada841ac4d64b36224e770bf",
-        "fronts_file": "c66fd30bbdf6584ff897829572fb6d1331abb8d12c4fc7c20550bc67a743f0f1"
+        "double_well_i_events.ndjson": "07f47d1406ea28c207e686f6c8c0ae0e0b00cf1aada841ac4d64b36224e770bf",
+        "double_well_i_fronts.csv": "c66fd30bbdf6584ff897829572fb6d1331abb8d12c4fc7c20550bc67a743f0f1",
+        "double_well_i_profile_t0.csv": "fa67c0b3af00586d2305660788207bccbcb44861d0899df706361a9240c029d0",
+        "double_well_i_profile_t1.csv": "ff9d153ef546cff18cece418c3ce0de2bcd2948ff28d7978fcc7aa1c84b0cb0e",
+        "double_well_i_profile_t5.csv": "ff9d153ef546cff18cece418c3ce0de2bcd2948ff28d7978fcc7aa1c84b0cb0e"
     },
     "preset/neg_cubic_ii1": {
         "events": "f65bba10e80325632e412c99ef97357640644589cd8851c21761d68d9f2af6e5",
         "profile": "07b97fb7a2e8e2dbcc659da961f9b30b3d78383b34cbb17f4c34646ffb9bdf7a",
         "n_events": 33,
         "report": "6eec117390960722c9b61f35f5558c0bbadda6a1ea46a01c640deec97dcba963",
-        "events_file": "f65bba10e80325632e412c99ef97357640644589cd8851c21761d68d9f2af6e5",
-        "fronts_file": "a3e55dc345ac33e57631685ba452f20565792aae0ca81a5a040b3c929d6c66dd"
+        "neg_cubic_ii1_events.ndjson": "f65bba10e80325632e412c99ef97357640644589cd8851c21761d68d9f2af6e5",
+        "neg_cubic_ii1_fronts.csv": "a3e55dc345ac33e57631685ba452f20565792aae0ca81a5a040b3c929d6c66dd",
+        "neg_cubic_ii1_profile_t0.csv": "d6d5a2770dcdf0919f8abe00334c417a78bf6c10722ad5c7b50cfa8862bd54f6",
+        "neg_cubic_ii1_profile_t1.csv": "a62a35175af6d0d2aff42f011cbc49a7d598fad320ac7f0f9eff1658e6e44d2f",
+        "neg_cubic_ii1_profile_t5.csv": "acb8f4acbe938633974ec4769b14f9f46e408f3d4b57f64f5b51c3b253face0d"
     }
 }
 
@@ -140,16 +161,17 @@ def preset_case(name: str, tmp_dir) -> dict:
     profile = advance(state, s.t_max)
     report = run_scenario(s, tmp_dir)
     report.pop("meta")
-    events_file = (tmp_dir / f"{name}_events.ndjson").read_text()
-    fronts_file = (tmp_dir / f"{name}_fronts.csv").read_text()
-    return {
+    out = {
         "events": _log_digest(state),
         "profile": _sha(json.dumps(profile.to_json())),
         "n_events": state.events_processed,
         "report": _sha(json.dumps(report, sort_keys=True, indent=2)),
-        "events_file": _sha(events_file),
-        "fronts_file": _sha(fronts_file),
     }
+    # every other artifact: event log, front table, profile snapshots
+    for path in sorted(tmp_dir.iterdir()):
+        if not path.name.endswith("_report.json"):
+            out[path.name] = _sha(path.read_text())
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_SUITE))
@@ -167,6 +189,7 @@ if __name__ == "__main__":
     from pathlib import Path
 
     table = {f"random/{n}": random_case(n) for n in sorted(RANDOM_SUITE)}
-    with tempfile.TemporaryDirectory() as d:
-        table.update({f"preset/{n}": preset_case(n, Path(d)) for n in sorted(PRESETS)})
+    for n in sorted(PRESETS):
+        with tempfile.TemporaryDirectory() as d:
+            table[f"preset/{n}"] = preset_case(n, Path(d))
     print("GOLDEN = " + json.dumps(table, indent=4))
