@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import EventOverflow, StateOutOfRange
 from .flux import Flux
-from .riemann import Front, WaveFan, solve_riemann
+from .riemann import Front, solve_riemann
 from .step import StepFunction, step
 
 PARALLEL_TOL = 1e-14      # speed differences below this never collide
@@ -109,13 +109,7 @@ class EmergenceReport:
 class SimState:
     """Single-owner mutable simulation state."""
 
-    def __init__(
-        self,
-        flux: Flux,
-        fronts: list[_LiveFront],
-        t: float = 0.0,
-        fans: dict | None = None,
-    ):
+    def __init__(self, flux: Flux, fronts: list[_LiveFront], t: float = 0.0):
         self.flux = flux
         self.t = t
         self.head: _LiveFront | None = fronts[0] if fronts else None
@@ -125,7 +119,7 @@ class SimState:
         self.max_events = MAX_EVENTS
         self._heap: list[tuple[float, float, int, _LiveFront, _LiveFront]] = []
         self._seq = itertools.count()
-        self._fans: dict = {} if fans is None else fans
+        self._fans: dict[tuple, tuple[Front, ...]] = {}
         self._fid = itertools.count(len(fronts))
         self._constant_value = fronts[0].left if fronts else 0.0
         self.births: dict[int, _LiveFront] = {f.fid: f for f in fronts}
@@ -133,6 +127,13 @@ class SimState:
         for a, b in zip(fronts, fronts[1:]):
             a.next, b.prev = b, a
             self._schedule(a, b)
+
+    def __del__(self):
+        # break the live chain's back links, so its fronts are freed with the
+        # state instead of waiting for the cycle collector
+        f = self.head
+        while f is not None:
+            f.prev, f = None, f.next
 
     @property
     def fronts(self) -> list[_LiveFront]:
@@ -220,7 +221,7 @@ class SimState:
             self._constant_value = block[0].left
         self.events_processed += 1
         self.event_log.append(
-            EventRecord(t_hit, x_hit, tuple(f.freeze() for f in block), tuple(fan))
+            EventRecord(t_hit, x_hit, tuple(f.freeze() for f in block), fan)
         )
         # new adjacencies: block edges only (fan speeds increase, so no inner events)
         if fan:
@@ -263,8 +264,8 @@ class SimState:
         return self.profile().tv()
 
 
-def _fan(fans: dict, fl: Flux, l: float, r: float) -> WaveFan:
-    """Riemann fan of (l, r) from the memo ``fans``, solved on a miss.
+def _fan(fans: dict, fl: Flux, l: float, r: float) -> tuple[Front, ...]:
+    """Fronts of the Riemann fan of (l, r) from the memo ``fans``, solved on a miss.
 
     Fans are pure functions of the two lattice states, so one solve per pair
     serves every later collision with the same outer states.
@@ -273,7 +274,7 @@ def _fan(fans: dict, fl: Flux, l: float, r: float) -> WaveFan:
     key = (l, r) if l and r else (l, r, math.copysign(1.0, l), math.copysign(1.0, r))
     fan = fans.get(key)
     if fan is None:
-        fan = fans[key] = solve_riemann(fl, l, r)
+        fan = fans[key] = solve_riemann(fl, l, r).fronts
     return fan
 
 
@@ -289,8 +290,9 @@ def init_state(fl: Flux, u0: StepFunction) -> SimState:
     for i, x in enumerate(u0.positions):
         for f in _fan(fans, fl, u0.values[i], u0.values[i + 1]):
             fronts.append(_LiveFront(next(fid), x, 0.0, f.speed, f.left, f.right))
-    state = SimState(fl, fronts, fans=fans)
+    state = SimState(fl, fronts)
     state._constant_value = u0.values[0]
+    state._fans = fans
     return state
 
 
