@@ -25,8 +25,8 @@ from .flux import (
 from .legendre import DualFlux, bidual, legendre_dual
 from .riemann import Front, WaveFan, front_speed, oleinik_condition_e, solve_riemann
 from .step import StepFunction, step_from_pairs
-from .tracking import EmergenceReport, SimState, advance, init_state, next_event, run_until_single_front
-from .laxoleinik import CharData, PointValue, SearchWindow, solve_pointwise, value_function
+from .tracking import EmergenceReport, SimState, advance, events, init_state, run_until_single_front
+from .laxoleinik import CharData, PointValue, solve_pointwise, value_function
 from .characteristics import CharCurve, is_characteristic_line, r_curve
 from .singleshock import (
     ConditionVerdict,

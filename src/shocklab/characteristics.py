@@ -43,8 +43,7 @@ def r_curve(
     """Sample R_plus or R_minus at the given positive times by bisection."""
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    dual = legendre_dual(fl)
-    p0 = max(1.0, abs(dual.lo), abs(dual.hi))
+    p0 = legendre_dual(fl).slope_bound
     out = []
     for t in t_grid:
         if t <= 0:

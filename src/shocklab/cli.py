@@ -104,7 +104,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("batch", help="run many scenario files")
     p.add_argument("scenarios", nargs="+")
     p.add_argument("--out", default="out")
-    p.add_argument("--jobs", type=int, default=1)
 
     args = ap.parse_args(argv)
     try:
@@ -179,7 +178,7 @@ def _dispatch(args) -> int:
         return 0 if report.emerged else 4
 
     if args.cmd == "batch":
-        run_batch(args.scenarios, args.out, jobs=args.jobs)
+        run_batch(args.scenarios, args.out)
         return 0
 
     raise ShockLabError(f"unknown command {args.cmd}")

@@ -49,12 +49,14 @@ class Flux:
     def hi(self) -> float:
         return self.breakpoints[-1]
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
+    def contains(self, x: float) -> bool:
+        """x inside the working interval, up to a 1e-12 margin relative to its scale."""
+        tol = 1e-12 * self._scale()
         return self.lo - tol <= x <= self.hi + tol
 
     def _segment(self, x: float) -> int:
         """Index i of a segment [b_i, b_{i+1}] containing x."""
-        if not self.contains(x, tol=1e-12 * self._scale()):
+        if not self.contains(x):
             raise StateOutOfRange(f"{x} outside working interval [{self.lo}, {self.hi}]")
         i = bisect_right(self.breakpoints, x) - 1
         return min(max(i, 0), len(self.slopes) - 1)

@@ -21,19 +21,6 @@ from .step import StepFunction
 
 
 @dataclass(frozen=True)
-class SearchWindow:
-    """Finite slope bound p0: no minimizer can satisfy |x-y| > p0 t."""
-
-    p0: float
-
-    @staticmethod
-    def for_problem(dual: DualFlux, data_bound: float) -> "SearchWindow":
-        # the dual domain is the primal slope range; beyond it the conjugate
-        # is +inf, so the growth condition holds vacuously past its reach
-        return SearchWindow(max(1.0, abs(dual.lo), abs(dual.hi)))
-
-
-@dataclass(frozen=True)
 class CharData:
     """Value and characteristic feet of the variational problem at (x, t)."""
 

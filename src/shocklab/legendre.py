@@ -42,6 +42,12 @@ class DualFlux:
     def hi(self) -> float:
         return self.breakpoints[-1]
 
+    @property
+    def slope_bound(self) -> float:
+        """p0 such that no minimizer y of the variational problem at (x, t)
+        has |x - y| > p0 t: past the dual domain the conjugate is +inf."""
+        return max(1.0, abs(self.lo), abs(self.hi))
+
     def _clamp(self, p: float) -> float:
         tol = 1e-12 * (1.0 + max(abs(self.lo), abs(self.hi)))
         if p < self.lo - tol or p > self.hi + tol:

@@ -57,9 +57,8 @@ def front_speed(fl: Flux, l: float, r: float) -> float:
 
 
 def solve_riemann(fl: Flux, u_l: float, u_r: float) -> WaveFan:
-    tol = 1e-12 * fl._scale()
     for u in (u_l, u_r):
-        if not fl.contains(u, tol):
+        if not fl.contains(u):
             raise StateOutOfRange(f"state {u} outside working interval")
     if u_l == u_r:
         return WaveFan(())

@@ -5,6 +5,9 @@ recipe), the three-piece initial data around [A, B], optional hypothesis
 parameters, and run controls.  Random middle data expands deterministically
 from its seed, so identical files produce byte-identical reports (wall-clock
 metadata is isolated in one sub-object).
+
+Running a scenario simulates it once: the certificate, the snapshot profiles
+and the logs all come from one walk of one SimState.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +40,13 @@ class Scenario:
     hypothesis: HypothesisParams | None
     t_max: float
     snapshots: tuple[float, ...]
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValidationError("run.t_max", f"need a finite positive horizon, got {self.t_max}")
+        for t in self.snapshots:
+            if not (math.isfinite(t) and t >= 0):
+                raise ValidationError("run.snapshots", f"need finite times >= 0, got {t}")
 
     def initial_data(self) -> StepFunction:
         return assemble_initial_data(self.A, self.B, self.u_minus, self.ubar, self.u_plus)
@@ -88,8 +98,10 @@ def _parse_flux(obj, field: str = "flux") -> Flux:
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if "preset" in raw:
-        base = preset(raw["preset"])
-        return base
+        extra = sorted(set(raw) - {"preset"})
+        if extra:
+            raise ValidationError("preset", f"a preset takes no other keys, got {extra}")
+        return preset(raw["preset"])
     try:
         data = raw["data"]
         A, B = float(data["A"]), float(data["B"])
@@ -117,7 +129,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     t_max = float(run.get("t_max", 100.0 * max(B - A, 1.0)))
     snapshots = tuple(float(t) for t in run.get("snapshots", ()))
     for v in (*u_minus.values, *u_plus.values, *ubar.values):
-        if not fl.contains(v, 1e-12 * fl._scale()):
+        if not fl.contains(v):
             raise ValidationError("data", f"value {v} outside flux working interval")
     return Scenario(raw.get("name", name), fl, A, B, u_minus, u_plus, ubar, hp, t_max, snapshots)
 
@@ -126,8 +138,10 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: {e}")
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     return scenario_from_dict(raw, name=path.stem)
 
 
@@ -333,6 +347,7 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     u0 = s.initial_data()
     state = init_state(s.flux, u0)
+    state.snapshots = dict.fromkeys(s.snapshots)   # filled in by the walk
 
     report: dict = {
         "name": s.name,
@@ -353,25 +368,19 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
         if verdict.satisfied:
             emergence = certify(
                 s.flux, s.hypothesis, s.A, s.B, s.u_minus, s.ubar, s.u_plus,
-                t_max=s.t_max, verdict=verdict,
+                t_max=s.t_max, verdict=verdict, state=state,
             )
             report["verdict"] = "emerged" if emergence.emerged else "not_emerged"
-            report["T0"] = emergence.t0
-            report["x0"] = emergence.x0
-            report["gamma"] = emergence.gamma
-            report["T_tilde"] = emergence.t_tilde
-            report["horizon"] = emergence.horizon
-            report["r_samples"] = [{"t": t, "x": x} for t, x in emergence.r_samples]
-            report["final_speed"] = emergence.final_speed
-            # reuse the certified run's state for snapshots
-            state = init_state(s.flux, u0)
+            em = emergence.to_json()
+            for key in ("T0", "x0", "gamma", "T_tilde", "horizon", "r_samples", "final_speed"):
+                report[key] = em[key]
         else:
             report["verdict"] = "violated"
 
+    # finish the walk; certify, when it ran, stopped it at t_max
+    advance(state, max((s.t_max, *s.snapshots)))
     for t in sorted(s.snapshots):
-        profile = u0 if t == 0.0 else advance(state, t)
-        (out / f"{s.name}_profile_t{t:g}.csv").write_text(_profile_csv(profile))
-    advance(state, max(s.t_max, *s.snapshots) if s.snapshots else s.t_max)
+        (out / f"{s.name}_profile_t{t:g}.csv").write_text(_profile_csv(state.snapshots[t]))
 
     with (out / f"{s.name}_events.ndjson").open("w") as fh:
         for rec in state.event_log:
@@ -391,9 +400,11 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     return report
 
 
-def run_batch(paths: list[str | Path], out_dir: str | Path, jobs: int = 1) -> list[dict]:
+def run_batch(paths: list[str | Path], out_dir: str | Path) -> list[dict]:
+    """Run scenario files in order; their names must differ, since a
+    scenario's artifacts are named after it."""
     scenarios = [load_scenario(p) for p in paths]
-    if jobs <= 1:
-        return [run_scenario(s, out_dir) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda s: run_scenario(s, out_dir), scenarios))
+    shared = sorted(n for n, k in Counter(s.name for s in scenarios).items() if k > 1)
+    if shared:
+        raise ValidationError("name", f"batch scenarios share names {shared}")
+    return [run_scenario(s, out_dir) for s in scenarios]

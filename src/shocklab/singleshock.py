@@ -16,7 +16,8 @@ gamma = T0 / |A - B|, and the chord-speed-gap bound when it is finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .flux import Flux, TripletClass, classify_triplet, eval_chord, eval_tangent
 from .step import StepFunction, assemble_initial_data
-from .tracking import EmergenceReport, init_state, run_until_single_front
+from .tracking import EmergenceReport, SimState, in_range, init_state, run_until_single_front
 
 STRICT_TOL = 1e-10  # relative margin below which an inequality counts as boundary
 
@@ -300,13 +301,15 @@ def certify(
     u_plus: StepFunction,
     t_max: float | None = None,
     verdict: ConditionVerdict | None = None,
+    state: SimState | None = None,
 ) -> EmergenceReport:
     """Run the emergence check for a configuration with satisfied conditions.
 
     Raises HypothesisNotChecked when the conditions are violated; otherwise
     simulates to t_max (default 100 |A - B|), detects persistent separation,
     and attaches the empirical gamma plus the finite analytic bound when the
-    chord-speed gap is positive.
+    chord-speed gap is positive.  ``state`` is the fresh SimState of the
+    assembled data to run; one is built when none is passed.
     """
     if verdict is None:
         verdict = check_main_conditions(fl, hp)
@@ -315,22 +318,18 @@ def certify(
             f"conditions violated: {[w.condition for w in verdict.witnesses]}"
         )
     left_range, right_range = ranges_for(verdict.kind, hp)
-
-    def in_rng(v, rng):
-        tol = 1e-12 * (1.0 + abs(v))
-        return rng[0] - tol <= v <= rng[1] + tol
-
     for v in u_minus.values:
-        if not in_rng(v, left_range):
+        if not in_range(v, left_range):
             raise ValidationError("u_minus", f"value {v} outside {left_range}")
     for v in u_plus.values:
-        if not in_rng(v, right_range):
+        if not in_range(v, right_range):
             raise ValidationError("u_plus", f"value {v} outside {right_range}")
 
     u0 = assemble_initial_data(A, B, u_minus, ubar, u_plus)
     span = abs(B - A)
     horizon = 100.0 * span if t_max is None else t_max
-    state = init_state(fl, u0)
+    if state is None:
+        state = init_state(fl, u0)
     report = run_until_single_front(state, left_range, right_range, horizon)
 
     data_lo = min(u0.values)
@@ -339,7 +338,7 @@ def certify(
         # the chord-speed induction requires the middle data to stay inside
         # the left family (at or below a2); outside it no bound is claimed
         mid = (min(*u_minus.values, *ubar.values), max(*u_minus.values, *ubar.values))
-        if mid[1] <= hp.a2 + 1e-12 * (1.0 + abs(hp.a2)):
+        if in_range(mid[1], (-math.inf, hp.a2)):
             t_tilde = speed_gap_bound(fl, left_range, right_range, mid, A, B)
         else:
             t_tilde = None
@@ -359,16 +358,4 @@ def certify(
     gamma = None
     if report.emerged and span > 0:
         gamma = report.t0 / span
-    return EmergenceReport(
-        emerged=report.emerged,
-        left_range=left_range,
-        right_range=right_range,
-        horizon=report.horizon,
-        t0=report.t0,
-        x0=report.x0,
-        r_samples=report.r_samples,
-        final_speed=report.final_speed,
-        gamma=gamma,
-        t_tilde=t_tilde,
-        events=report.events,
-    )
+    return replace(report, gamma=gamma, t_tilde=t_tilde)

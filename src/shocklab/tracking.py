@@ -15,6 +15,10 @@ so an event costs O(log n) in the number n of live fronts: pop, splice the
 fan into the chain, schedule the two new neighbour pairs.  Fans are memoized
 per (left, right) state pair for the life of a SimState, since a fan is a
 pure function of its two lattice states.
+
+``events`` is the one loop that pops and processes collisions.  ``advance``
+and the emergence detector consume it, and it takes requested snapshot
+profiles on the way, so one walk of a state serves all of them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import EventOverflow, StateOutOfRange
 from .flux import Flux
@@ -67,13 +72,6 @@ class EventRecord:
             "in": [pack(f) for f in self.incoming],
             "out": [pack(f) for f in self.outgoing],
         }
-
-
-@dataclass(frozen=True)
-class EventPreview:
-    time: float
-    x: float
-    fronts: tuple[Front, ...]
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,8 @@ class SimState:
         self._constant_value = fronts[0].left if fronts else 0.0
         self.births: dict[int, _LiveFront] = {f.fid: f for f in fronts}
         self.deaths: dict[int, float] = {}
+        # requested snapshot time -> profile there, filled in by events()
+        self.snapshots: dict[float, StepFunction | None] = {}
         for a, b in zip(fronts, fronts[1:]):
             a.next, b.prev = b, a
             self._schedule(a, b)
@@ -188,7 +188,7 @@ class SimState:
             block.append(a)
         return block
 
-    def _process(self, t_hit: float, x_hit: float, a: _LiveFront, b: _LiveFront) -> None:
+    def _process(self, t_hit: float, x_hit: float, a: _LiveFront, b: _LiveFront) -> EventRecord:
         if self.events_processed >= self.max_events:
             raise EventOverflow(f"more than {self.max_events} events")
         self.t = t_hit
@@ -220,9 +220,8 @@ class SimState:
         if self.head is None:
             self._constant_value = block[0].left
         self.events_processed += 1
-        self.event_log.append(
-            EventRecord(t_hit, x_hit, tuple(f.freeze() for f in block), fan)
-        )
+        rec = EventRecord(t_hit, x_hit, tuple(f.freeze() for f in block), fan)
+        self.event_log.append(rec)
         # new adjacencies: block edges only (fan speeds increase, so no inner events)
         if fan:
             if before is not None:
@@ -231,6 +230,7 @@ class SimState:
                 self._schedule(after.prev, after)
         elif before is not None and after is not None:
             self._schedule(before, after)
+        return rec
 
     # -- queries -----------------------------------------------------------
 
@@ -280,9 +280,8 @@ def _fan(fans: dict, fl: Flux, l: float, r: float) -> tuple[Front, ...]:
 
 def init_state(fl: Flux, u0: StepFunction) -> SimState:
     """Replace each initial jump by its Riemann fan and prime the event queue."""
-    tol = 1e-12 * fl._scale()
     for v in u0.values:
-        if not fl.contains(v, tol):
+        if not fl.contains(v):
             raise StateOutOfRange(f"data value {v} outside working interval")
     fans: dict = {}
     fronts: list[_LiveFront] = []
@@ -296,30 +295,36 @@ def init_state(fl: Flux, u0: StepFunction) -> SimState:
     return state
 
 
-def next_event(s: SimState) -> EventPreview | None:
-    """Earliest future collision with its eps_x group, or None."""
-    head = s._peek()
-    if head is None:
-        return None
-    t_hit, x_hit, a, b = head
-    block = s._group(t_hit, x_hit, a, b)
-    return EventPreview(t_hit, x_hit, tuple(f.freeze() for f in block))
+def events(s: SimState, t_until: float) -> Iterator[EventRecord]:
+    """Process the collisions with time <= t_until in order, yielding each record.
+
+    Every requested snapshot time t in [s.t, t_until] still without a profile
+    gets ``s.profile(t)``, taken after each event at or before t and before
+    any later one.  Run to the end, the walk leaves ``s.t = t_until``.
+    """
+    if t_until < s.t:
+        raise ValueError(f"cannot rewind from {s.t} to {t_until}")
+    due = sorted(t for t, p in s.snapshots.items() if p is None and s.t <= t <= t_until)
+    for k, stop in enumerate(due + [t_until]):
+        while True:
+            head = s._peek()
+            if head is None or head[0] > stop:
+                break
+            yield s._process(*head)
+        if k < len(due):
+            s.snapshots[stop] = s.profile(stop)
+    s.t = t_until
 
 
 def advance(s: SimState, t_target: float) -> StepFunction:
     """Process events chronologically up to t_target; return the profile there."""
-    if t_target < s.t:
-        raise ValueError(f"cannot rewind from {s.t} to {t_target}")
-    while True:
-        head = s._peek()
-        if head is None or head[0] > t_target:
-            break
-        s._process(*head)
-    s.t = t_target
+    for _ in events(s, t_target):
+        pass
     return s.profile(t_target)
 
 
-def _in_range(v: float, rng: tuple[float, float]) -> bool:
+def in_range(v: float, rng: tuple[float, float]) -> bool:
+    """v inside the closed range rng, up to a 1e-12 relative margin at each end."""
     tol_lo = 1e-12 * (1.0 + abs(rng[0]))
     tol_hi = 1e-12 * (1.0 + abs(rng[1]))
     return rng[0] - tol_lo <= v <= rng[1] + tol_hi
@@ -336,11 +341,11 @@ def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None
     right_ok = [False] * (n + 2)
     acc = True
     for i in range(n + 1):
-        acc = acc and _in_range(vals[i], left_range)
+        acc = acc and in_range(vals[i], left_range)
         left_ok[i] = acc
     acc = True
     for i in range(n, -1, -1):
-        acc = acc and _in_range(vals[i], right_range)
+        acc = acc and in_range(vals[i], right_range)
         right_ok[i] = acc
     for k in range(n):
         if left_ok[k] and right_ok[k + 1]:
@@ -370,13 +375,8 @@ def run_until_single_front(
         return (s.t, True, f.pos(s.t), f.speed)
 
     checks = [check()]
-    while True:
-        head = s._peek()
-        if head is None or head[0] > t_max:
-            break
-        s._process(*head)
+    for _ in events(s, t_max):
         checks.append(check())
-    s.t = t_max
     # earliest check from which separation never breaks again
     first_good = None
     for rec in reversed(checks):

@@ -103,3 +103,37 @@ def test_load_step_normalizes(tmp_path):
     loaded = _load_step(_write(tmp_path, "d.json", json.dumps(raw)))
     assert loaded == step([1.0, 0.5], [1.0])
     assert all(type(v) is float for v in loaded.values + loaded.positions)
+
+
+SCENARIO = {
+    "flux": {"kind": "burgers", "lo": -2.0, "hi": 2.0, "mesh": 0.5},
+    "data": {"A": 0.0, "B": 1.0, "u_minus": 1.0, "u_plus": 0.0, "ubar": 0.5},
+}
+BAD_SCENARIOS = {
+    "not_utf8": b"\xff\xfe\x00",
+    "not_an_object": json.dumps([SCENARIO]),
+    "preset_with_run": json.dumps({"preset": "burgers_shock", "run": {"t_max": 1}}),
+    "negative_snapshot": json.dumps(SCENARIO | {"run": {"snapshots": [-1]}}),
+    "nan_snapshot": json.dumps(SCENARIO | {"run": {"snapshots": [float("nan")]}}),
+    "zero_horizon": json.dumps(SCENARIO | {"run": {"t_max": 0}}),
+    "infinite_horizon": json.dumps(SCENARIO | {"run": {"t_max": float("inf")}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_cli_bad_scenario_file_exits_2(tmp_path, capsys, case):
+    path = tmp_path / f"{case}.json"
+    content = BAD_SCENARIOS[case]
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert cli_main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case == "preset_with_run":
+        assert "'run'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_snapshot_option_exits_2(tmp_path, capsys):
+    rc = cli_main(["solve", "--preset", "burgers_shock", "--out", str(tmp_path), "--t=-2"])
+    assert rc == 2
+    assert "run.snapshots" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from conftest import mesh, random_flux, random_step
 from shocklab.flux import hull, make_flux
 from shocklab.riemann import front_speed, solve_riemann
 from shocklab.step import step
-from shocklab.tracking import init_state
+from shocklab.tracking import events, init_state
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -81,21 +81,12 @@ def _random_problem(seed, convex):
     return fl, random_step(rng, int(rng.integers(2, 12)), lo, hi)
 
 
-def _events(s, t_max=50.0):
-    while True:
-        head = s._peek()
-        if head is None or head[0] > t_max:
-            return
-        s._process(*head)
-        yield
-
-
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_memoized_fans_equal_fresh_solves(seed, convex):
     fl, u0 = _random_problem(seed, convex)
     s = init_state(fl, u0)
-    for _ in _events(s):
+    for _ in events(s, 50.0):
         pass
     assert s._fans
     for key, fan in s._fans.items():
@@ -137,6 +128,6 @@ def test_chain_links_follow_front_order(seed, convex):
     fl, u0 = _random_problem(seed, convex)
     s = init_state(fl, u0)
     _check_chain(s)
-    for _ in _events(s):
+    for _ in events(s, 50.0):
         _check_chain(s)
     assert s.profile().values[0] == u0.values[0]

@@ -4,7 +4,7 @@ import pytest
 from conftest import mesh, random_convex_flux, random_step
 from shocklab import errors
 from shocklab.flux import make_flux
-from shocklab.laxoleinik import SearchWindow, _Primitive, solve_pointwise, value_function
+from shocklab.laxoleinik import _Primitive, solve_pointwise, value_function
 from shocklab.legendre import legendre_dual
 from shocklab.step import constant, l1_distance, step
 from shocklab.tracking import advance, init_state
@@ -82,17 +82,17 @@ def test_monotone_feet(rng):
 def test_window_doubling_changes_nothing(rng):
     fl = burgers(0.1)
     dual = legendre_dual(fl)
-    w = SearchWindow.for_problem(dual, 1.0)
+    p0 = dual.slope_bound
     u0 = random_step(rng, 4, -1.0, 1.0)
     v0 = _Primitive(u0)
     for _ in range(20):
         x = float(rng.uniform(-4, 4))
         t = float(rng.uniform(0.1, 3.0))
         cd = value_function(fl, u0, x, t)
-        assert abs(x - cd.y_minus) <= w.p0 * t + 1e-9
-        assert abs(x - cd.y_plus) <= w.p0 * t + 1e-9
+        assert abs(x - cd.y_minus) <= p0 * t + 1e-9
+        assert abs(x - cd.y_plus) <= p0 * t + 1e-9
         # brute-force the objective over a dense grid on the doubled window
-        ys = np.linspace(x - 2 * w.p0 * t, x + 2 * w.p0 * t, 4001)
+        ys = np.linspace(x - 2 * p0 * t, x + 2 * p0 * t, 4001)
         ys = ys[(ys >= x - dual.hi * t) & (ys <= x - dual.lo * t)]
         phi = [v0(float(y)) + t * dual(min(max((x - y) / t, dual.lo), dual.hi)) for y in ys]
         assert cd.value <= min(phi) + 1e-9

@@ -111,15 +111,36 @@ def test_reports_reproducible(tmp_path):
     ).read_text()
 
 
-def test_batch_order_independent(tmp_path):
+def _write_presets(tmp_path, names, rename=True):
     paths = []
-    for i, name in enumerate(["burgers_shock", "counterexample_1"]):
+    for i, name in enumerate(names):
         p = tmp_path / f"s{i}.json"
-        p.write_text(json.dumps(emit_scenario(preset(name)) | {"name": f"s{i}"}))
+        raw = emit_scenario(preset(name))
+        p.write_text(json.dumps(raw | {"name": f"s{i}"} if rename else raw))
         paths.append(p)
-    serial = [_strip_meta(r) for r in run_batch(paths, tmp_path / "serial", jobs=1)]
-    parallel = [_strip_meta(r) for r in run_batch(paths, tmp_path / "par", jobs=4)]
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+    return paths
+
+
+def test_batch_order_independent(tmp_path):
+    # a batch writes exactly what one run_scenario per file writes
+    paths = _write_presets(tmp_path, ["burgers_shock", "counterexample_1"])
+    batch = [_strip_meta(r) for r in run_batch(paths, tmp_path / "batch")]
+    single = [_strip_meta(run_scenario(load_scenario(p), tmp_path / "single")) for p in paths]
+    assert json.dumps(batch, sort_keys=True) == json.dumps(single, sort_keys=True)
+    files = sorted(f.name for f in (tmp_path / "batch").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "single").iterdir())
+    for name in files:
+        if not name.endswith("_report.json"):
+            assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+
+
+def test_batch_rejects_shared_names(tmp_path, capsys):
+    paths = _write_presets(tmp_path, ["burgers_shock", "burgers_shock"], rename=False)
+    with pytest.raises(errors.ValidationError, match="burgers_shock"):
+        run_batch(paths, tmp_path / "out")
+    assert cli_main(["batch", *map(str, paths), "--out", str(tmp_path / "out")]) == 2
+    assert "share names" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_riemann(tmp_path, capsys):

@@ -7,7 +7,7 @@ from conftest import mesh, random_step
 from shocklab import errors
 from shocklab.flux import make_flux
 from shocklab.step import constant, everywhere_leq, l1_distance, step
-from shocklab.tracking import advance, init_state, next_event, run_until_single_front
+from shocklab.tracking import advance, events, init_state, run_until_single_front
 
 V_FLUX = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])
 
@@ -36,28 +36,29 @@ def test_init_v_flux_fan():
     assert [(x, sp) for x, sp, _, _ in snap] == [(0.0, -1.0), (0.0, 1.0)]
 
 
-def test_next_event_two_fronts():
+def test_events_two_fronts():
     fl = mesh("burgers", -1, 3, 4.0, corners=(0.0, 1.0, 2.0))
     s = init_state(fl, step([2.0, 1.0, 0.0], [0.0, 1.0]))
-    ev = next_event(s)
-    assert ev.time == pytest.approx(1.0, abs=1e-12)
+    ev = next(events(s, math.inf), None)
+    assert ev.t == pytest.approx(1.0, abs=1e-12)
     assert ev.x == pytest.approx(1.5, abs=1e-12)
-    assert len(ev.fronts) == 2
+    assert len(ev.incoming) == 2
+    assert s.t == ev.t and s.events_processed == 1
 
 
-def test_next_event_single_front_none():
+def test_events_single_front_none():
     fl = burgers()
     s = init_state(fl, step([1.0, 0.0], [0.0]))
-    assert next_event(s) is None
+    assert next(events(s, math.inf), None) is None
 
 
 def test_three_front_symmetric_merge():
     fl = mesh("burgers", 0, 5, 1.0)
     u0 = step([4.0, 3.0, 2.0, 1.0], [-1.0, 0.0, 1.0])
     s = init_state(fl, u0)
-    ev = next_event(s)
-    assert len(ev.fronts) == 3
-    assert ev.time == pytest.approx(1.0, abs=1e-12)
+    ev = next(events(s, math.inf))
+    assert len(ev.incoming) == 3
+    assert ev.t == pytest.approx(1.0, abs=1e-12)
     out = advance(s, 2.0)
     assert out.values == (4.0, 1.0)
     assert s.events_processed == 1
@@ -196,11 +197,7 @@ def test_front_count_bound(rng):
     u0 = random_step(rng, 6, -1.0, 1.0)
     s = init_state(fl, u0)
     counts = [len(s.fronts)]
-    while True:
-        ev = next_event(s)
-        if ev is None or ev.time > 20.0:
-            break
-        advance(s, ev.time)
+    for _ in events(s, 20.0):
         counts.append(len(s.fronts))
     # convex flux: after the initial fans resolve, fronts only merge
     assert all(b <= a for a, b in zip(counts, counts[1:]))
