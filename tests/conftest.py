@@ -37,6 +37,15 @@ def random_step(rng, k, lo, hi, a=-2.0, b=2.0):
     return step([float(v) for v in vals], [float(x) for x in pos])
 
 
+def random_problem(seed, convex):
+    """Burgers or an arbitrary flux, and a step with 2 to 11 jumps in its range."""
+    rng = np.random.default_rng(seed)
+    fl = mesh("burgers", -3, 3, 0.25) if convex else random_flux(rng)
+    # random_flux may place all its nodes within 0.02 of each other
+    margin = min(0.01, (fl.hi - fl.lo) / 4)
+    return fl, random_step(rng, int(rng.integers(2, 12)), fl.lo + margin, fl.hi - margin)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

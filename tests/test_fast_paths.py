@@ -5,10 +5,10 @@ per-state fan memo against fresh Riemann solves, and the linked front chain
 against the birth/death bookkeeping."""
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh, random_flux, random_step
+from conftest import mesh, random_problem
 from shocklab.flux import hull, make_flux
 from shocklab.riemann import front_speed, solve_riemann
 from shocklab.step import step
@@ -74,17 +74,11 @@ def test_fan_speeds_are_rankine_hugoniot_quotients(case):
             assert bits([f.speed]) == bits([front_speed(fl, f.left, f.right)])
 
 
-def _random_problem(seed, convex):
-    rng = np.random.default_rng(seed)
-    fl = mesh("burgers", -3, 3, 0.25) if convex else random_flux(rng)
-    lo, hi = fl.lo + 0.01, fl.hi - 0.01
-    return fl, random_step(rng, int(rng.integers(2, 12)), lo, hi)
-
-
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans())
+@example(47777, False)  # flux nodes span only 0.0145
 def test_memoized_fans_equal_fresh_solves(seed, convex):
-    fl, u0 = _random_problem(seed, convex)
+    fl, u0 = random_problem(seed, convex)
     s = init_state(fl, u0)
     for _ in events(s, 50.0):
         pass
@@ -124,8 +118,9 @@ def _check_chain(s):
 
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans())
+@example(47777, False)  # flux nodes span only 0.0145
 def test_chain_links_follow_front_order(seed, convex):
-    fl, u0 = _random_problem(seed, convex)
+    fl, u0 = random_problem(seed, convex)
     s = init_state(fl, u0)
     _check_chain(s)
     for _ in events(s, 50.0):

@@ -5,11 +5,10 @@ t = 0, ``advance`` on a fresh state for each later snapshot, and a standalone
 
 import dataclasses
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh, random_flux, random_step
+from conftest import random_problem
 from shocklab import scenario, tracking
 from shocklab.scenario import _profile_csv, preset, random_steps, run_scenario
 from shocklab.singleshock import certify
@@ -39,9 +38,7 @@ def snapshot_times(data, event_times, t_max):
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
 def test_walk_snapshots_equal_fresh_advance(seed, convex, data):
-    rng = np.random.default_rng(seed)
-    fl = mesh("burgers", -3, 3, 0.25) if convex else random_flux(rng)
-    u0 = random_step(rng, int(rng.integers(2, 12)), fl.lo + 0.01, fl.hi - 0.01)
+    fl, u0 = random_problem(seed, convex)
     t_max = 20.0
     probe = init_state(fl, u0)
     advance(probe, 2.0 * t_max)
