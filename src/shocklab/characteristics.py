@@ -2,7 +2,9 @@
 
 R_plus(t, a) is the largest x whose extreme right foot stays left of a;
 R_minus the smallest x whose left foot stays right of a.  Both maps
-x -> y_pm(x, t) are nondecreasing, so each sample reduces to a bisection.
+x -> y_pm(x, t) are nondecreasing, so each sample is a bisection; the
+samples of one curve are bisected in lockstep, one candidate matrix per step
+for all of them.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import WindowExceeded
+import numpy as np
+
+from .errors import ValidationError, WindowExceeded
 from .flux import Flux
-from .laxoleinik import _Primitive, value_function
+from .laxoleinik import _check_finite, _check_time, _Objective, _Primitive, value_function
 from .legendre import legendre_dual
 from .step import StepFunction
 
@@ -28,11 +32,6 @@ class CharCurve:
         return iter(zip(self.times, self.positions))
 
 
-def _y_side(fl: Flux, u0: StepFunction, x: float, t: float, side: str) -> float:
-    cd = value_function(fl, u0, x, t)
-    return cd.y_plus if side == "plus" else cd.y_minus
-
-
 def r_curve(
     fl: Flux,
     u0: StepFunction,
@@ -40,38 +39,43 @@ def r_curve(
     side: str,
     t_grid: Sequence[float],
 ) -> CharCurve:
-    """Sample R_plus or R_minus at the given positive times by bisection."""
+    """Sample R_plus or R_minus at the given positive times, bisecting every
+    sample in lockstep: each step evaluates the predicate of all samples not
+    yet within their tolerance in one candidate matrix."""
     if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
-    p0 = legendre_dual(fl).slope_bound
-    out = []
-    for t in t_grid:
-        if t <= 0:
-            raise ValueError("t grid must be positive")
-        lo = alpha - p0 * t - 1.0
-        hi = alpha + p0 * t + 1.0
-        tol_a = 1e-12 * (1.0 + abs(alpha))
-        if side == "plus":
-            # predicate: y_plus(x, t) <= alpha, true near lo, false near hi
-            def pred(x):
-                return _y_side(fl, u0, x, t, "plus") <= alpha + tol_a
-        else:
-            # R_minus = inf {x : y_minus >= alpha}; flip so pred is true-left
-            def pred(x):
-                return not (_y_side(fl, u0, x, t, "minus") >= alpha - tol_a)
-        if not pred(lo):
-            raise WindowExceeded(f"bracket [{lo}, {hi}] does not straddle the curve")
-        if pred(hi):
-            raise WindowExceeded(f"bracket [{lo}, {hi}] does not straddle the curve")
-        eps_x = 1e-10 * (1.0 + abs(alpha) + p0 * t)
-        while hi - lo > eps_x:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return CharCurve(alpha, side, tuple(float(t) for t in t_grid), tuple(out))
+        raise ValidationError("side", f"need 'plus' or 'minus', got {side!r}")
+    _check_finite("alpha", alpha)
+    times = tuple(float(t) for t in t_grid)
+    for t in times:
+        _check_time(t)
+    t = np.array(times)
+    dual = legendre_dual(fl)
+    p0 = dual.slope_bound
+    objective = _Objective(dual, u0)
+    tol_a = 1e-12 * (1.0 + abs(alpha))
+    if side == "plus":
+        # predicate: y_plus(x, t) <= alpha, true near lo, false near hi
+        def pred(x, t):
+            return objective.feet(x, t)[1] <= alpha + tol_a
+    else:
+        # R_minus = inf {x : y_minus >= alpha}; flip so pred is true-left
+        def pred(x, t):
+            return ~(objective.feet(x, t)[0] >= alpha - tol_a)
+    lo = alpha - p0 * t - 1.0
+    hi = alpha + p0 * t + 1.0
+    outside = ~pred(lo, t) | pred(hi, t)
+    if outside.any():
+        k = int(outside.argmax())
+        raise WindowExceeded(f"bracket [{lo[k]}, {hi[k]}] does not straddle the curve")
+    eps_x = 1e-10 * (1.0 + abs(alpha) + p0 * t)
+    active = np.flatnonzero(hi - lo > eps_x)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        left = pred(mid, t[active])
+        lo[active[left]] = mid[left]
+        hi[active[~left]] = mid[~left]
+        active = active[hi[active] - lo[active] > eps_x[active]]
+    return CharCurve(alpha, side, times, tuple(float(x) for x in 0.5 * (lo + hi)))
 
 
 def is_characteristic_line(

@@ -19,7 +19,7 @@ from .laxoleinik import value_function
 from .legendre import legendre_dual
 from .characteristics import r_curve
 from .riemann import solve_riemann
-from .scenario import PRESETS, load_scenario, preset, run_batch, run_scenario
+from .scenario import PRESETS, _numbers, load_scenario, preset, run_batch, run_scenario
 from .singleshock import certify, check_main_conditions
 from .step import StepFunction, step
 from .tracking import init_state, run_until_single_front
@@ -35,12 +35,13 @@ def _read_fields(path: str, *keys: str) -> list:
 
 
 def _load_flux(path: str):
-    return make_flux(*_read_fields(path, "breakpoints", "values"))
+    breakpoints, values = _read_fields(path, "breakpoints", "values")
+    return make_flux(_numbers(breakpoints, "breakpoints"), _numbers(values, "values"))
 
 
 def _load_step(path: str) -> StepFunction:
     positions, values = _read_fields(path, "positions", "values")
-    return step(values, positions)
+    return step(_numbers(values, "values"), _numbers(positions, "positions"))
 
 
 def _scenario_from_args(args) -> object:
@@ -52,7 +53,10 @@ def _scenario_from_args(args) -> object:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    try:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise ParseError(f"expected comma-separated numbers, got {text!r}")
 
 
 def main(argv=None) -> int:

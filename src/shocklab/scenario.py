@@ -42,6 +42,10 @@ class Scenario:
     snapshots: tuple[float, ...]
 
     def __post_init__(self):
+        # artifacts are written to out / f"{name}_...", so a name must not leave out
+        n = self.name
+        if not isinstance(n, str) or n in ("", ".", "..") or any(c in n for c in "/\\\0"):
+            raise ValidationError("name", f"need a plain file name, got {n!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValidationError("run.t_max", f"need a finite positive horizon, got {self.t_max}")
         for t in self.snapshots:
@@ -52,6 +56,9 @@ class Scenario:
         return assemble_initial_data(self.A, self.B, self.u_minus, self.ubar, self.u_plus)
 
 
+MAX_RANDOM_STEPS = 10**6   # random middle data of a scenario file
+
+
 def random_steps(k: int, lo: float, hi: float, seed: int, A: float, B: float) -> StepFunction:
     """k i.i.d. uniform values at equispaced jumps on (A, B)."""
     rng = np.random.default_rng(seed)
@@ -60,39 +67,90 @@ def random_steps(k: int, lo: float, hi: float, seed: int, A: float, B: float) ->
     return step([float(v) for v in vals], pos)
 
 
-def _parse_step(obj, field: str, A: float, B: float) -> StepFunction:
-    if isinstance(obj, (int, float)):
-        return constant(float(obj))
-    if not isinstance(obj, dict):
-        raise ValidationError(field, "expected a number or an object")
-    if "random" in obj:
-        r = obj["random"]
-        try:
-            return random_steps(int(r["steps"]), float(r["lo"]), float(r["hi"]), int(r["seed"]), A, B)
-        except KeyError as e:
-            raise ValidationError(f"{field}.random", f"missing key {e}")
+# -- checked conversion of JSON fields -------------------------------------------
+
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, where: str, default=_REQUIRED):
+    """obj[key], or default when given; a missing required key is a
+    ValidationError of ``where``."""
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ValidationError(where, f"missing key {key!r}")
+    return default
+
+
+def _object(v, field: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValidationError(field, f"expected an object, got {v!r}")
+    return v
+
+
+def _number(v, field: str) -> float:
+    """A finite float from a JSON number (not a bool, string or null)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError(field, f"expected a number, got {v!r}")
     try:
-        return step([float(v) for v in obj["values"]], [float(x) for x in obj["positions"]])
-    except KeyError as e:
-        raise ValidationError(field, f"missing key {e}")
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(field, f"need a finite number, got {v!r}")
+    return x
+
+
+def _numbers(v, field: str) -> list[float]:
+    if not isinstance(v, list):
+        raise ValidationError(field, f"expected a list of numbers, got {v!r}")
+    return [_number(x, f"{field}[{i}]") for i, x in enumerate(v)]
+
+
+def _count(v, field: str, least: int, most: float = math.inf) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or not least <= v <= most:
+        raise ValidationError(field, f"expected an integer in [{least}, {most}], got {v!r}")
+    return v
+
+
+def _parse_step(obj, field: str, A: float, B: float) -> StepFunction:
+    if not isinstance(obj, dict):
+        return constant(_number(obj, field))
+    if "random" in obj:
+        where = f"{field}.random"
+        r = _object(obj["random"], where)
+        return random_steps(
+            _count(_field(r, "steps", where), f"{where}.steps", 1, MAX_RANDOM_STEPS),
+            _number(_field(r, "lo", where), f"{where}.lo"),
+            _number(_field(r, "hi", where), f"{where}.hi"),
+            _count(_field(r, "seed", where), f"{where}.seed", 0),
+            A, B,
+        )
+    return step(
+        _numbers(_field(obj, "values", field), f"{field}.values"),
+        _numbers(_field(obj, "positions", field), f"{field}.positions"),
+    )
 
 
 def _parse_flux(obj, field: str = "flux") -> Flux:
-    if not isinstance(obj, dict):
-        raise ValidationError(field, "expected an object")
+    obj = _object(obj, field)
     if "breakpoints" in obj:
-        return make_flux(obj["breakpoints"], obj["values"])
-    try:
-        spec = AnalyticFluxSpec(
-            kind=obj["kind"],
-            lo=float(obj["lo"]),
-            hi=float(obj["hi"]),
-            mesh=float(obj["mesh"]),
-            corners=tuple(float(c) for c in obj.get("corners", ())),
-            params=tuple((k, float(v)) for k, v in sorted(obj.get("params", {}).items())),
+        return make_flux(
+            _numbers(obj["breakpoints"], f"{field}.breakpoints"),
+            _numbers(_field(obj, "values", field), f"{field}.values"),
         )
-    except KeyError as e:
-        raise ValidationError(field, f"missing key {e}")
+    kind = _field(obj, "kind", field)
+    if not isinstance(kind, str):
+        raise ValidationError(f"{field}.kind", f"expected a string, got {kind!r}")
+    params = _object(_field(obj, "params", field, {}), f"{field}.params")
+    spec = AnalyticFluxSpec(
+        kind=kind,
+        lo=_number(_field(obj, "lo", field), f"{field}.lo"),
+        hi=_number(_field(obj, "hi", field), f"{field}.hi"),
+        mesh=_number(_field(obj, "mesh", field), f"{field}.mesh"),
+        corners=tuple(_numbers(_field(obj, "corners", field, []), f"{field}.corners")),
+        params=tuple((k, _number(v, f"{field}.params.{k}")) for k, v in sorted(params.items())),
+    )
     return approximate_pw_affine(spec)
 
 
@@ -102,43 +160,39 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         if extra:
             raise ValidationError("preset", f"a preset takes no other keys, got {extra}")
         return preset(raw["preset"])
-    try:
-        data = raw["data"]
-        A, B = float(data["A"]), float(data["B"])
-    except KeyError as e:
-        raise ValidationError("data", f"missing key {e}")
+    data = _object(_field(raw, "data", "scenario"), "data")
+    A = _number(_field(data, "A", "data"), "data.A")
+    B = _number(_field(data, "B", "data"), "data.B")
     if A > B:
         raise ValidationError("data.A", "need A <= B")
-    fl = _parse_flux(raw.get("flux"), "flux")
-    u_minus = _parse_step(data.get("u_minus", 0.0), "data.u_minus", A, B)
-    u_plus = _parse_step(data.get("u_plus", 0.0), "data.u_plus", A, B)
-    ubar = _parse_step(data.get("ubar", 0.0), "data.ubar", A, B)
+    fl = _parse_flux(_field(raw, "flux", "scenario"), "flux")
+    u_minus = _parse_step(_field(data, "u_minus", "data", 0.0), "data.u_minus", A, B)
+    u_plus = _parse_step(_field(data, "u_plus", "data", 0.0), "data.u_plus", A, B)
+    ubar = _parse_step(_field(data, "ubar", "data", 0.0), "data.ubar", A, B)
     if A == B and ubar.positions:
         raise ValidationError("data.ubar", "A == B leaves no room for middle data")
     hp = None
-    if raw.get("hypothesis"):
-        h = raw["hypothesis"]
-        try:
-            hp = HypothesisParams(
-                float(h["a1"]), float(h["a2"]), float(h["C"]),
-                float(h["D"]), float(h["b2"]), float(h["b1"]),
-            )
-        except KeyError as e:
-            raise ValidationError("hypothesis", f"missing key {e}")
-    run = raw.get("run", {})
-    t_max = float(run.get("t_max", 100.0 * max(B - A, 1.0)))
-    snapshots = tuple(float(t) for t in run.get("snapshots", ()))
+    h = _field(raw, "hypothesis", "scenario", None)
+    if h not in (None, {}):
+        h = _object(h, "hypothesis")
+        hp = HypothesisParams(*(
+            _number(_field(h, k, "hypothesis"), f"hypothesis.{k}")
+            for k in ("a1", "a2", "C", "D", "b2", "b1")
+        ))
+    run = _object(_field(raw, "run", "scenario", {}), "run")
+    t_max = _number(_field(run, "t_max", "run", 100.0 * max(B - A, 1.0)), "run.t_max")
+    snapshots = tuple(_numbers(_field(run, "snapshots", "run", []), "run.snapshots"))
     for v in (*u_minus.values, *u_plus.values, *ubar.values):
         if not fl.contains(v):
             raise ValidationError("data", f"value {v} outside flux working interval")
-    return Scenario(raw.get("name", name), fl, A, B, u_minus, u_plus, ubar, hp, t_max, snapshots)
+    return Scenario(_field(raw, "name", "scenario", name), fl, A, B, u_minus, u_plus, ubar, hp, t_max, snapshots)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:   # ValueError: bad UTF-8, bad JSON, over-long integers
         raise ParseError(f"{path}: {e}")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
@@ -317,7 +371,7 @@ PRESETS = {
 
 
 def preset(name: str, **kwargs) -> Scenario:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ValidationError("preset", f"unknown preset {name!r} (have {sorted(PRESETS)})")
     return PRESETS[name](**kwargs)
 

@@ -71,6 +71,10 @@ BAD_FILES = {
     "not_utf8": b"\xff\xfe\x00",
     "no_values": json.dumps({"breakpoints": [-2, 0, 2], "positions": [0.0]}),
     "not_an_object": json.dumps([[-2, 0, 2], [2, 0, 2]]),
+    "text_entries": json.dumps({"breakpoints": ["a", 0, 2], "values": [2, "b", 2],
+                                "positions": ["a"]}),
+    "nan_entries": json.dumps({"breakpoints": [-2, float("nan"), 2], "values": [2, 0, 2],
+                               "positions": [float("nan")]}),
 }
 
 
@@ -137,3 +141,33 @@ def test_cli_negative_snapshot_option_exits_2(tmp_path, capsys):
     rc = cli_main(["solve", "--preset", "burgers_shock", "--out", str(tmp_path), "--t=-2"])
     assert rc == 2
     assert "run.snapshots" in capsys.readouterr().err
+
+
+DATA_JSON = json.dumps({"positions": [0.0], "values": [1.0, 0.0]})
+BAD_QUERIES = {
+    "rcurve_zero_time": ["rcurve", "--alpha", "0", "--t", "0"],
+    "rcurve_negative_time": ["rcurve", "--alpha", "0", "--t", "1,-2"],
+    "rcurve_text_time": ["rcurve", "--alpha", "0", "--t", "abc"],
+    "rcurve_nan_time": ["rcurve", "--alpha", "0", "--t", "nan"],
+    "rcurve_inf_time": ["rcurve", "--alpha", "0", "--t", "inf"],
+    "rcurve_nan_anchor": ["rcurve", "--alpha", "nan", "--t", "1"],
+    "laxoleinik_nan_time": ["laxoleinik", "--x", "0", "--t", "nan"],
+    "laxoleinik_zero_time": ["laxoleinik", "--x", "0", "--t", "0"],
+    "laxoleinik_inf_position": ["laxoleinik", "--x", "inf", "--t", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+def test_cli_bad_query_exits_2(tmp_path, capsys, case):
+    files = ["--flux", _write(tmp_path, "f.json", FLUX_JSON),
+             "--data", _write(tmp_path, "d.json", DATA_JSON)]
+    assert cli_main(BAD_QUERIES[case] + files) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_solve_text_snapshot_option_exits_2(tmp_path, capsys):
+    rc = cli_main(["solve", "--preset", "burgers_shock", "--out", str(tmp_path / "o"), "--t", "abc"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
