@@ -27,10 +27,12 @@ from .errors import (
     NonMonotoneBreakpoints,
     NotConvex,
     StateOutOfRange,
+    ValidationError,
     WrongTriplet,
 )
 
 SLOPE_TOL = 1e-12  # absolute tolerance on slope comparisons
+MAX_FLUX_NODES = 10**6   # grid nodes of one sampled analytic flux
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,10 @@ class TripletKind:
 # ---------------------------------------------------------------------------
 
 def _buckley_leverett(r: float) -> Callable[[float], float]:
+    # r > 0 keeps the denominator positive: u and 1 - u are never both zero
+    if not r > 0:
+        raise ValidationError("flux.params", f"buckley_leverett needs r > 0, got r={r}")
+
     def f(u: float) -> float:
         den = u * u + r * (1.0 - u) * (1.0 - u)
         return u * u / den
@@ -206,7 +212,15 @@ def approximate_pw_affine(spec: AnalyticFluxSpec) -> Flux:
     for c in spec.corners:
         if not spec.lo <= c <= spec.hi:
             raise StateOutOfRange(f"corner {c} outside [{spec.lo}, {spec.hi}]")
-    n = int(round((spec.hi - spec.lo) / spec.mesh))
+    # also rejects a width that overflows to inf, before any node is built
+    nodes_wanted = (spec.hi - spec.lo) / spec.mesh
+    if not nodes_wanted <= MAX_FLUX_NODES:
+        raise ValidationError(
+            "flux.mesh",
+            f"mesh {spec.mesh} on [{spec.lo}, {spec.hi}] asks for {nodes_wanted:.3g} nodes, "
+            f"more than {MAX_FLUX_NODES}",
+        )
+    n = int(round(nodes_wanted))
     grid = [spec.lo + k * spec.mesh for k in range(max(n, 1))] + [spec.hi]
     nodes = sorted(set(grid) | set(spec.corners))
     # drop grid nodes that collide with a corner up to rounding noise
@@ -217,7 +231,18 @@ def approximate_pw_affine(spec: AnalyticFluxSpec) -> Flux:
             continue
         merged.append(x)
     f = spec.evaluator()
-    return make_flux(merged, [f(x) for x in merged])
+    values = []
+    for x in merged:
+        try:
+            y = f(x)
+        except OverflowError:   # float ** raises where * gives inf
+            y = math.inf
+        if not math.isfinite(y):
+            # lo <= x <= hi, so a huge negative x means a huge lo and vice versa
+            end = "flux.lo" if x < 0 else "flux.hi"
+            raise ValidationError(end, f"{spec.kind} flux is not finite at u={x}")
+        values.append(y)
+    return make_flux(merged, values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -80,15 +80,6 @@ def step(values: Sequence[float], positions: Sequence[float]) -> StepFunction:
 
 def constant(c: float) -> StepFunction:
     return StepFunction((), (float(c),))
-
-
-def step_from_pairs(pairs: Iterable[tuple[float, float]], leftmost: float) -> StepFunction:
-    """Build from (jump position, value right of it) pairs."""
-    pos, vals = [], [leftmost]
-    for x, v in pairs:
-        pos.append(x)
-        vals.append(v)
-    return step(vals, pos)
 
 
 def merged_edges(u: StepFunction, v: StepFunction, a: float, b: float) -> list[float]:

@@ -19,6 +19,12 @@ pure function of its two lattice states.
 ``events`` is the one loop that pops and processes collisions.  ``advance``
 and the emergence detector consume it, and it takes requested snapshot
 profiles on the way, so one walk of a state serves all of them.
+
+The emergence detector asks after every event whether one front separates
+the left-range pieces from the right-range pieces.  When the two ranges are
+disjoint, which certification always has, a ``_Separation`` attached to the
+state keeps that answer up to date inside the splice, at O(block + fan) per
+event; for overlapping ranges it scans the whole chain, O(n) per event.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import EventOverflow, StateOutOfRange
+from .errors import EventOverflow, StateOutOfRange, ValidationError
 from .flux import Flux
 from .riemann import Front, solve_riemann
 from .step import StepFunction, step
@@ -124,6 +130,8 @@ class SimState:
         self.deaths: dict[int, float] = {}
         # requested snapshot time -> profile there, filled in by events()
         self.snapshots: dict[float, StepFunction | None] = {}
+        # kept up to date by _process while run_until_single_front walks
+        self._detector: _Separation | None = None
         for a, b in zip(fronts, fronts[1:]):
             a.next, b.prev = b, a
             self._schedule(a, b)
@@ -219,6 +227,8 @@ class SimState:
             after.prev = left
         if self.head is None:
             self._constant_value = block[0].left
+        if self._detector is not None:
+            self._detector.splice(block, self.head if before is None else before.next, after)
         self.events_processed += 1
         rec = EventRecord(t_hit, x_hit, tuple(f.freeze() for f in block), fan)
         self.event_log.append(rec)
@@ -302,8 +312,8 @@ def events(s: SimState, t_until: float) -> Iterator[EventRecord]:
     gets ``s.profile(t)``, taken after each event at or before t and before
     any later one.  Run to the end, the walk leaves ``s.t = t_until``.
     """
-    if t_until < s.t:
-        raise ValueError(f"cannot rewind from {s.t} to {t_until}")
+    if not t_until >= s.t:   # also rejects NaN
+        raise ValidationError("t_until", f"cannot walk from t={s.t} to {t_until}")
     due = sorted(t for t, p in s.snapshots.items() if p is None and s.t <= t <= t_until)
     for k, stop in enumerate(due + [t_until]):
         while True:
@@ -318,20 +328,30 @@ def events(s: SimState, t_until: float) -> Iterator[EventRecord]:
 
 def advance(s: SimState, t_target: float) -> StepFunction:
     """Process events chronologically up to t_target; return the profile there."""
+    if not math.isfinite(t_target):   # a speed-0 front would sit at 0 * inf = NaN
+        raise ValidationError("t_target", f"need a finite time, got {t_target}")
     for _ in events(s, t_target):
         pass
     return s.profile(t_target)
 
 
+def _widened(rng: tuple[float, float]) -> tuple[float, float]:
+    """The ends of rng moved out by a 1e-12 margin relative to each end."""
+    return rng[0] - 1e-12 * (1.0 + abs(rng[0])), rng[1] + 1e-12 * (1.0 + abs(rng[1]))
+
+
 def in_range(v: float, rng: tuple[float, float]) -> bool:
     """v inside the closed range rng, up to a 1e-12 relative margin at each end."""
-    tol_lo = 1e-12 * (1.0 + abs(rng[0]))
-    tol_hi = 1e-12 * (1.0 + abs(rng[1]))
-    return rng[0] - tol_lo <= v <= rng[1] + tol_hi
+    lo, hi = _widened(rng)
+    return lo <= v <= hi
 
 
 def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None:
-    """Leftmost front splitting left-range pieces from right-range pieces."""
+    """Leftmost front splitting left-range pieces from right-range pieces.
+
+    Scans the whole chain; the detector for ranges that may overlap, and the
+    oracle of ``_Separation``.
+    """
     fronts = s.fronts
     if not fronts:
         return None
@@ -353,6 +373,71 @@ def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None
     return None
 
 
+def _disjoint(left_range, right_range) -> bool:
+    """No value is in_range of both ranges, margins included."""
+    l_lo, l_hi = _widened(left_range)
+    r_lo, r_hi = _widened(right_range)
+    return l_hi < r_lo or r_hi < l_lo
+
+
+_LEFT, _RIGHT, _NEITHER = 0, 1, 2
+
+
+class _Separation:
+    """``_separating_front`` for disjoint ranges, kept up to date by the splice.
+
+    Every piece value is left, right or neither.  With disjoint ranges the
+    chain separates exactly when no piece is neither, no front steps from a
+    right piece to a left one, and exactly one front steps from left to
+    right; that front is the separating one.  ``bad`` counts the neither
+    pieces (each front's right piece, plus the head's left piece, which the
+    constant outer tail fixes for the life of the state) and the right-to-left
+    fronts; ``crossing`` holds the live left-to-right fronts.
+    """
+
+    def __init__(self, s: SimState, left_range, right_range):
+        self._ranges = left_range, right_range
+        self._classes: dict[float, int] = {}   # piece value -> class
+        self.bad = 0 if s.head is None else int(self._class(s.head.left) == _NEITHER)
+        self.crossing: set[_LiveFront] = set()
+        self.splice((), s.head, None)
+
+    def _class(self, v: float) -> int:
+        c = self._classes.get(v)
+        if c is None:
+            left_range, right_range = self._ranges
+            c = self._classes[v] = (
+                _LEFT if in_range(v, left_range)
+                else _RIGHT if in_range(v, right_range)
+                else _NEITHER
+            )
+        return c
+
+    def _count(self, f: _LiveFront, sign: int) -> None:
+        cl, cr = self._class(f.left), self._class(f.right)
+        if cl == _LEFT and cr == _RIGHT:
+            if sign > 0:
+                self.crossing.add(f)
+            else:
+                self.crossing.discard(f)
+        else:
+            self.bad += sign * ((cr == _NEITHER) + (cl == _RIGHT and cr == _LEFT))
+
+    def splice(self, gone, first, stop) -> None:
+        """The fronts ``gone`` left the chain; those from ``first`` up to,
+        not including, ``stop`` arrived."""
+        for f in gone:
+            self._count(f, -1)
+        while first is not stop:
+            self._count(first, 1)
+            first = first.next
+
+    def front(self) -> _LiveFront | None:
+        if self.bad == 0 and len(self.crossing) == 1:
+            return next(iter(self.crossing))
+        return None
+
+
 def run_until_single_front(
     s: SimState,
     left_range: tuple[float, float],
@@ -365,25 +450,32 @@ def run_until_single_front(
     piece left of it (values inside left_range) from every piece right of it
     (values inside right_range) at each later event up to t_max.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValidationError("t_max", f"need a finite positive horizon, got {t_max}")
+    if _disjoint(left_range, right_range):
+        s._detector = _Separation(s, left_range, right_range)
+        find = s._detector.front
+    else:
+        find = lambda: _separating_front(s, left_range, right_range)
 
-    def check() -> tuple[float, bool, float | None, float | None]:
-        f = _separating_front(s, left_range, right_range)
-        if f is None:
-            return (s.t, False, None, None)
-        return (s.t, True, f.pos(s.t), f.speed)
-
-    checks = [check()]
-    for _ in events(s, t_max):
-        checks.append(check())
-    # earliest check from which separation never breaks again
-    first_good = None
-    for rec in reversed(checks):
-        if not rec[1]:
-            break
-        first_good = rec
-    if first_good is None:
+    # (t, x) of the separated checks since the last break, and of those taken
+    # at the break's own time, since T0 may equal it
+    run: list[tuple[float, float]] = []
+    t0 = speed = None
+    try:
+        for _ in itertools.chain((None,), events(s, t_max)):
+            f = find()
+            if f is None:
+                t0 = None
+                run = [p for p in run if p[0] >= s.t]
+            else:
+                if t0 is None:
+                    t0 = s.t
+                run.append((s.t, f.pos(s.t)))
+                speed = f.speed
+    finally:
+        s._detector = None
+    if t0 is None:
         return EmergenceReport(
             emerged=False,
             left_range=left_range,
@@ -391,10 +483,9 @@ def run_until_single_front(
             horizon=t_max,
             events=s.events_processed,
         )
-    t0 = first_good[0]
-    samples = [(t, x) for t, ok, x, _ in checks if ok and t >= t0]
-    last_t, _, last_x, last_speed = checks[-1]
-    samples.append((t_max, last_x + last_speed * (t_max - last_t)))
+    samples = [p for p in run if p[0] >= t0]
+    last_t, last_x = samples[-1]
+    samples.append((t_max, last_x + speed * (t_max - last_t)))
     return EmergenceReport(
         emerged=True,
         left_range=left_range,
@@ -403,6 +494,6 @@ def run_until_single_front(
         t0=t0,
         x0=samples[0][1],
         r_samples=tuple(samples),
-        final_speed=last_speed,
+        final_speed=speed,
         events=s.events_processed,
     )

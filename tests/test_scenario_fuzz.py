@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shocklab.cli import main as cli_main
-from shocklab.flux import ANALYTIC_FLUXES
+from shocklab.flux import ANALYTIC_FLUXES, MAX_FLUX_NODES
 from shocklab.scenario import scenario_from_dict
 
 # valid scenarios that together reach every field the parser reads
@@ -232,3 +232,67 @@ def test_fuzzed_scenario_exits_2(raw):
         assert rc == 2, raw
         assert err.getvalue().startswith("error: ")
         assert not (where / "out").exists()
+
+
+# -- absurd magnitudes -----------------------------------------------------------------
+# Every number below passes the field converters (finite floats); the flux
+# sampler must still refuse a grid it cannot build and a flux it cannot
+# evaluate, naming the field at fault.
+
+ABSURD = {
+    "widest_interval": (0, ("flux",), {"kind": "burgers", "lo": -1e308, "hi": 1e308, "mesh": 0.5},
+                        "flux.mesh"),
+    "tiny_mesh": (0, ("flux", "mesh"), 1e-300, "flux.mesh"),
+    "one_node_past_the_cap": (0, ("flux", "mesh"), 4.0 / (MAX_FLUX_NODES + 1), "flux.mesh"),
+    "burgers_overflow": (0, ("flux",), {"kind": "burgers", "lo": -1.0, "hi": 1e200, "mesh": 1e199},
+                         "flux.hi"),
+    "double_well_overflow": (0, ("flux",),
+                             {"kind": "double_well", "lo": -1e100, "hi": 1e100, "mesh": 1e99},
+                             "flux.lo"),
+    "neg_cubic_overflow": (0, ("flux",), {"kind": "neg_cubic", "lo": -1e200, "hi": 2.0, "mesh": 1e199},
+                           "flux.lo"),
+    "buckley_overflow": (2, ("flux",),
+                         {"kind": "buckley_leverett", "lo": -1e200, "hi": 1.2, "mesh": 1e199},
+                         "flux.lo"),
+    "buckley_negative_r": (2, ("flux", "params", "r"), -1.0, "flux.params"),
+    "buckley_zero_r": (2, ("flux", "params", "r"), 0.0, "flux.params"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABSURD))
+def test_absurd_flux_names_the_field(tmp_path, capsys, case):
+    base, path, value, field = ABSURD[case]
+    err = _check_rejected(_with(BASES[base], path, value), tmp_path, capsys)
+    assert err.startswith(f"error: {field}: ")
+
+
+@st.composite
+def absurd_scenario(draw):
+    """An analytic flux on [-a 10^e, b 10^e] with up to 40 grid cells, and
+    data at fractions of that interval."""
+    kind = draw(st.sampled_from(sorted(ANALYTIC_FLUXES)))
+    e = draw(st.integers(0, 308))
+    a, b = draw(st.floats(0.1, 1.8)), draw(st.floats(0.1, 1.8))
+    lo, hi = -a * 10.0 ** e, b * 10.0 ** e
+    cells = draw(st.integers(1, 40))
+    # lo + f (hi - lo) overflows where hi - lo does; the convex mix does not
+    at = lambda f: (1.0 - f) * lo + f * hi
+    flux = {"kind": kind, "lo": lo, "hi": hi, "mesh": hi / cells - lo / cells}
+    if kind == "buckley_leverett":
+        flux["params"] = {"r": 10.0 ** draw(st.integers(-300, 300))}
+    frac = st.floats(0.0, 1.0)
+    data = {"A": 0.0, "B": 1.0, "u_minus": at(draw(frac)), "u_plus": at(draw(frac)),
+            "ubar": {"values": [at(draw(frac)), at(draw(frac))], "positions": [0.5]}}
+    return {"name": "absurd", "flux": flux, "data": data, "run": {"t_max": 10.0}}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(absurd_scenario())
+def test_absurd_magnitudes_solve_or_exit_2(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = _solve(raw, Path(tmp))
+        assert rc in (0, 2), raw
+        if rc == 2:
+            assert err.getvalue().startswith("error: flux."), err.getvalue()
