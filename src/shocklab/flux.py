@@ -124,6 +124,10 @@ def make_flux(breakpoints: Sequence[float], values: Sequence[float]) -> Flux:
     out = _flux_unchecked(bp, vals)
     if any(not math.isfinite(s) for s in out.slopes):
         raise NonMonotoneBreakpoints("segment slopes must be finite")
+    # hull's cross products reach (hi - lo) * 2 max|f| <= 4 _scale() max|f|; keep them finite
+    if not math.isfinite(4.0 * out._scale() * (1.0 + max(map(abs, vals)))):
+        raise ValidationError("flux.values", "values too large for finite hull arithmetic "
+                              f"on [{bp[0]}, {bp[-1]}]")
     return out
 
 
@@ -190,14 +194,8 @@ class AnalyticFluxSpec:
     mesh: float
     corners: tuple[float, ...] = ()
     params: tuple[tuple[str, float], ...] = ()
-    table: tuple[tuple[float, float], ...] = ()
 
     def evaluator(self) -> Callable[[float], float]:
-        if self.kind == "table":
-            if len(self.table) < 2:
-                raise EmptyMesh("table specs need at least two samples")
-            base = make_flux([p[0] for p in self.table], [p[1] for p in self.table])
-            return base
         if self.kind not in ANALYTIC_FLUXES:
             raise EmptyMesh(f"unknown analytic flux kind {self.kind!r}")
         return ANALYTIC_FLUXES[self.kind](**dict(self.params))

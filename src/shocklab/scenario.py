@@ -123,7 +123,7 @@ def _parse_step(obj, field: str, A: float, B: float) -> StepFunction:
             _count(_field(r, "steps", where), f"{where}.steps", 1, MAX_RANDOM_STEPS),
             _number(_field(r, "lo", where), f"{where}.lo"),
             _number(_field(r, "hi", where), f"{where}.hi"),
-            _count(_field(r, "seed", where), f"{where}.seed", 0),
+            _count(_field(r, "seed", where), f"{where}.seed", 0, 2**64 - 1),
             A, B,
         )
     return step(
@@ -225,7 +225,7 @@ def emit_scenario(s: Scenario) -> dict:
 # presets
 # ---------------------------------------------------------------------------
 
-def _preset_burgers_shock(seed: int = 11) -> Scenario:
+def _preset_burgers_shock() -> Scenario:
     fl = approximate_pw_affine(
         AnalyticFluxSpec("burgers", -3.0, 3.0, 0.05, corners=(-1.0, 0.0, 1.0, 2.0))
     )
@@ -236,14 +236,14 @@ def _preset_burgers_shock(seed: int = 11) -> Scenario:
         B=1.0,
         u_minus=constant(1.0),
         u_plus=constant(0.0),
-        ubar=random_steps(8, 0.0, 1.0, seed, 0.0, 1.0),
+        ubar=random_steps(8, 0.0, 1.0, 11, 0.0, 1.0),
         hypothesis=HypothesisParams(0.0, 0.0, 0.25, 0.75, 1.0, 1.0),
         t_max=50.0,
         snapshots=(0.0, 1.0, 5.0, 20.0),
     )
 
 
-def _preset_neg_cubic_ii1(seed: int = 23) -> Scenario:
+def _preset_neg_cubic_ii1() -> Scenario:
     fl = approximate_pw_affine(
         AnalyticFluxSpec("neg_cubic", -3.0, 3.0, 0.05, corners=(-1.5, -1.0, -0.5, 0.0, 2.0, 2.5))
     )
@@ -254,14 +254,14 @@ def _preset_neg_cubic_ii1(seed: int = 23) -> Scenario:
         B=1.0,
         u_minus=constant(-0.5),
         u_plus=constant(2.0),
-        ubar=random_steps(6, -1.5, 2.5, seed, 0.0, 1.0),
+        ubar=random_steps(6, -1.5, 2.5, 23, 0.0, 1.0),
         hypothesis=HypothesisParams(-0.5, -0.5, 0.0, 0.0, 2.0, 2.0),
         t_max=50.0,
         snapshots=(0.0, 1.0, 5.0),
     )
 
 
-def _preset_double_well_i(seed: int = 37) -> Scenario:
+def _preset_double_well_i() -> Scenario:
     c = math.sqrt(2.0 / 3.0)
     fl = approximate_pw_affine(
         AnalyticFluxSpec(
@@ -276,19 +276,19 @@ def _preset_double_well_i(seed: int = 37) -> Scenario:
         B=1.0,
         u_minus=constant(2.5),
         u_plus=constant(-2.5),
-        ubar=random_steps(6, -1.0, 1.0, seed, 0.0, 1.0),
+        ubar=random_steps(6, -1.0, 1.0, 37, 0.0, 1.0),
         hypothesis=HypothesisParams(-2.6, -2.5, -c, c, 2.5, 2.6),
         t_max=60.0,
         snapshots=(0.0, 1.0, 5.0),
     )
 
 
-def _preset_buckley_leverett(seed: int = 5, r: float = 1.0, h: float = 0.01) -> Scenario:
+def _preset_buckley_leverett() -> Scenario:
     fl = approximate_pw_affine(
         AnalyticFluxSpec(
-            "buckley_leverett", -0.2, 1.2, h,
+            "buckley_leverett", -0.2, 1.2, 0.01,
             corners=(0.0, 0.45, 0.5, 0.52, 0.55, 1.0),
-            params=(("r", r),),
+            params=(("r", 1.0),),
         )
     )
     return Scenario(
@@ -298,14 +298,14 @@ def _preset_buckley_leverett(seed: int = 5, r: float = 1.0, h: float = 0.01) -> 
         B=1.0,
         u_minus=constant(0.55),
         u_plus=constant(0.0),
-        ubar=random_steps(5, 0.0, 0.55, seed, 0.0, 1.0),
+        ubar=random_steps(5, 0.0, 0.55, 5, 0.0, 1.0),
         hypothesis=HypothesisParams(0.0, 0.0, 0.45, 0.52, 0.55, 0.55),
         t_max=60.0,
         snapshots=(0.0, 2.0, 10.0),
     )
 
 
-def _preset_counterexample_1(seed: int = 0) -> Scenario:
+def _preset_counterexample_1() -> Scenario:
     c = math.sqrt(2.0 / 3.0)
     fl = approximate_pw_affine(
         AnalyticFluxSpec("double_well", -3.0, 3.0, 0.05, corners=(-2.0, -c, 0.0, c, 2.0))
@@ -324,7 +324,7 @@ def _preset_counterexample_1(seed: int = 0) -> Scenario:
     )
 
 
-def _counterexample_2_flux(eta: float = 0.1, h: float = 0.05) -> Flux:
+def _counterexample_2_flux(eta: float = 0.1) -> Flux:
     """neg_cubic mesh with the nodes inside (-1-eta, -1+eta) removed.
 
     The bridging segment is then exactly collinear with the chord from its
@@ -332,7 +332,7 @@ def _counterexample_2_flux(eta: float = 0.1, h: float = 0.05) -> Flux:
     counterexample exact on the lattice.
     """
     spec = AnalyticFluxSpec(
-        "neg_cubic", -3.0, 3.0, h, corners=(-1.5, -1.0 - eta, -1.0 + eta, 0.0, 2.0)
+        "neg_cubic", -3.0, 3.0, 0.05, corners=(-1.5, -1.0 - eta, -1.0 + eta, 0.0, 2.0)
     )
     base = approximate_pw_affine(spec)
     keep = [
@@ -343,7 +343,7 @@ def _counterexample_2_flux(eta: float = 0.1, h: float = 0.05) -> Flux:
     return make_flux([x for x, _ in keep], [v for _, v in keep])
 
 
-def _preset_counterexample_2(seed: int = 0) -> Scenario:
+def _preset_counterexample_2() -> Scenario:
     eta = 0.1
     fl = _counterexample_2_flux(eta=eta)
     return Scenario(
@@ -370,10 +370,10 @@ PRESETS = {
 }
 
 
-def preset(name: str, **kwargs) -> Scenario:
+def preset(name: str) -> Scenario:
     if not isinstance(name, str) or name not in PRESETS:
         raise ValidationError("preset", f"unknown preset {name!r} (have {sorted(PRESETS)})")
-    return PRESETS[name](**kwargs)
+    return PRESETS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +442,11 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
 
     with (out / f"{s.name}_fronts.csv").open("w") as fh:
         fh.write("front_id,t,x\n")
-        t_end_default = state.t
-        for fid, f in sorted(state.births.items()):
-            t_end = state.deaths.get(fid, t_end_default)
-            fh.write(f"{fid},{f.t0!r},{f.x0!r}\n")
-            fh.write(f"{fid},{t_end!r},{f.pos(t_end)!r}\n")
+        # each front once: dead at the time of the record listing it, or live at state.t
+        dead = [(f, rec.t) for rec in state.event_log for f in rec.incoming]
+        for f, t_end in sorted(dead + [(f, state.t) for f in state.fronts], key=lambda p: p[0].fid):
+            fh.write(f"{f.fid},{f.t0!r},{f.x0!r}\n")
+            fh.write(f"{f.fid},{t_end!r},{f.pos(t_end)!r}\n")
 
     report["events"] = state.events_processed
     report["meta"] = {"wall_s": time.perf_counter() - t_start}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +26,9 @@ class StepFunction:
     def __post_init__(self):
         if len(self.values) != len(self.positions) + 1:
             raise ValidationError("values", "need exactly one more value than positions")
-        if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
-            raise ValidationError("positions", "must be strictly increasing")
+        edges = (-math.inf, *self.positions, math.inf)
+        if not all(a < b for a, b in zip(edges, edges[1:])):
+            raise ValidationError("positions", "must be finite and strictly increasing")
 
     def __call__(self, x: float) -> float:
         """Value at x; right-continuous at jumps."""

@@ -9,12 +9,14 @@ and finitely many jumps the event count is finite; a hard guard fences
 adversarial float drift.
 
 Live fronts form a doubly linked chain, left to right.  Collisions of
-neighbours wait in a heap keyed by (time, position, sequence); an entry goes
-stale when either front dies, which the front's ``alive`` flag shows in O(1),
-so an event costs O(log n) in the number n of live fronts: pop, splice the
-fan into the chain, schedule the two new neighbour pairs.  Fans are memoized
-per (left, right) state pair for the life of a SimState, since a fan is a
-pure function of its two lattice states.
+neighbours wait in a heap keyed by (time, position, sequence); an entry (a, b)
+is valid while ``a.next is b``, since a dead front is unlinked and a live one
+links only to live ones, so an event costs O(log n) in the number n of live
+fronts: pop, splice the fan into the chain, schedule the two new neighbour
+pairs.  The event log keeps the dead fronts, so it and the live chain are the
+one record of every front's life.  Fans are memoized per (left, right) state
+pair for the life of a SimState, since a fan is a pure function of its two
+lattice states.
 
 ``events`` is the one loop that pops and processes collisions.  ``advance``
 and the emergence detector consume it, and it takes requested snapshot
@@ -54,20 +56,18 @@ class _LiveFront:
     right: float
     prev: _LiveFront | None = field(default=None, repr=False)
     next: _LiveFront | None = field(default=None, repr=False)
-    alive: bool = True
 
     def pos(self, t: float) -> float:
         return self.x0 + self.speed * (t - self.t0)
 
-    def freeze(self) -> Front:
-        return Front(self.speed, self.left, self.right)
-
 
 @dataclass(frozen=True)
 class EventRecord:
+    """A collision at (t, x): ``incoming`` holds the tracked fronts that died
+    there, unlinked, and ``outgoing`` the fan that replaced them."""
     t: float
     x: float
-    incoming: tuple[Front, ...]
+    incoming: tuple[_LiveFront, ...]
     outgoing: tuple[Front, ...]
 
     def to_json(self) -> dict:
@@ -113,9 +113,9 @@ class EmergenceReport:
 class SimState:
     """Single-owner mutable simulation state."""
 
-    def __init__(self, flux: Flux, fronts: list[_LiveFront], t: float = 0.0):
+    def __init__(self, flux: Flux, fronts: list[_LiveFront], constant_value: float, fans: dict):
         self.flux = flux
-        self.t = t
+        self.t = 0.0
         self.head: _LiveFront | None = fronts[0] if fronts else None
         self.events_processed = 0
         self.event_log: list[EventRecord] = []
@@ -123,11 +123,9 @@ class SimState:
         self.max_events = MAX_EVENTS
         self._heap: list[tuple[float, float, int, _LiveFront, _LiveFront]] = []
         self._seq = itertools.count()
-        self._fans: dict[tuple, tuple[Front, ...]] = {}
+        self._fans = fans
         self._fid = itertools.count(len(fronts))
-        self._constant_value = fronts[0].left if fronts else 0.0
-        self.births: dict[int, _LiveFront] = {f.fid: f for f in fronts}
-        self.deaths: dict[int, float] = {}
+        self._constant_value = constant_value
         # requested snapshot time -> profile there, filled in by events()
         self.snapshots: dict[float, StepFunction | None] = {}
         # kept up to date by _process while run_until_single_front walks
@@ -171,12 +169,13 @@ class SimState:
     def _peek(self) -> tuple[float, float, _LiveFront, _LiveFront] | None:
         """Earliest valid heap entry as (t, x, a, b); drops stale ones.
 
-        An entry is valid while both fronts live and are still neighbours.
+        An entry is valid while its fronts are still neighbours: a dead front
+        is unlinked, and a live front links only to live ones.
         """
         heap = self._heap
         while heap:
             t_hit, x_hit, _, a, b = heap[0]
-            if a.alive and b.alive and a.next is b:
+            if a.next is b:
                 return t_hit, x_hit, a, b
             heapq.heappop(heap)
         return None
@@ -206,9 +205,7 @@ class SimState:
         for f in block:
             # unlinked, a dead front holds no reference cycle, so a finished
             # state is freed by reference counting, not the cycle collector
-            f.alive = False
             f.prev = f.next = None
-            self.deaths[f.fid] = t_hit
         # splice the fan's fronts between before and after
         left = before
         for w in fan:
@@ -217,7 +214,6 @@ class SimState:
                 self.head = f
             else:
                 left.next = f
-            self.births[f.fid] = f
             left = f
         if left is None:
             self.head = after
@@ -230,7 +226,7 @@ class SimState:
         if self._detector is not None:
             self._detector.splice(block, self.head if before is None else before.next, after)
         self.events_processed += 1
-        rec = EventRecord(t_hit, x_hit, tuple(f.freeze() for f in block), fan)
+        rec = EventRecord(t_hit, x_hit, tuple(block), fan)
         self.event_log.append(rec)
         # new adjacencies: block edges only (fan speeds increase, so no inner events)
         if fan:
@@ -244,9 +240,17 @@ class SimState:
 
     # -- queries -----------------------------------------------------------
 
+    def _time(self, t: float | None) -> float:
+        """t, or the state's time for None; positions need a finite t."""
+        if t is None:
+            return self.t
+        if not math.isfinite(t):   # a speed-0 front would sit at 0 * inf = NaN
+            raise ValidationError("t", f"need a finite time, got {t}")
+        return t
+
     def profile(self, t: float | None = None) -> StepFunction:
         """Piecewise-constant snapshot, zero-width pieces merged."""
-        t = self.t if t is None else t
+        t = self._time(t)
         if self.head is None:
             return StepFunction((), (self._constant_value,))
         pos: list[float] = []
@@ -267,11 +271,8 @@ class SimState:
         return step(vals, pos) if merged else StepFunction(tuple(pos), tuple(vals))
 
     def front_snapshot(self, t: float | None = None) -> list[tuple[float, float, float, float]]:
-        t = self.t if t is None else t
+        t = self._time(t)
         return [(f.pos(t), f.speed, f.left, f.right) for f in self.fronts]
-
-    def tv(self) -> float:
-        return self.profile().tv()
 
 
 def _fan(fans: dict, fl: Flux, l: float, r: float) -> tuple[Front, ...]:
@@ -299,10 +300,7 @@ def init_state(fl: Flux, u0: StepFunction) -> SimState:
     for i, x in enumerate(u0.positions):
         for f in _fan(fans, fl, u0.values[i], u0.values[i + 1]):
             fronts.append(_LiveFront(next(fid), x, 0.0, f.speed, f.left, f.right))
-    state = SimState(fl, fronts)
-    state._constant_value = u0.values[0]
-    state._fans = fans
-    return state
+    return SimState(fl, fronts, u0.values[0], fans)
 
 
 def events(s: SimState, t_until: float) -> Iterator[EventRecord]:

@@ -2,7 +2,7 @@
 oracles they replace: the bisected hull against a scan of every node, fan
 speeds read off the hull against Rankine-Hugoniot quotients of the flux, the
 per-state fan memo against fresh Riemann solves, and the linked front chain
-against the birth/death bookkeeping."""
+against the dead fronts the event log holds."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -105,15 +105,17 @@ def _check_chain(s):
     fronts = s.fronts
     assert s.head is (fronts[0] if fronts else None)
     for i, f in enumerate(fronts):
-        assert f.alive
         assert f.prev is (fronts[i - 1] if i > 0 else None)
         assert f.next is (fronts[i + 1] if i + 1 < len(fronts) else None)
     for a, b in zip(fronts, fronts[1:]):
         assert a.right == b.left
         assert a.pos(s.t) <= b.pos(s.t) + s.eps_x
-    live = {fid for fid in s.births if fid not in s.deaths}
-    assert {f.fid for f in fronts} == live
-    assert all(not s.births[fid].alive for fid in s.deaths)
+    # the event log holds each dead front, unlinked; with the live chain
+    # that accounts for every front ever made, once
+    dead = [f for rec in s.event_log for f in rec.incoming]
+    assert all(f.prev is None and f.next is None for f in dead)
+    fids = sorted(f.fid for f in dead + fronts)
+    assert fids == list(range(len(fids)))
 
 
 @SETTINGS

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shocklab.cli import main as cli_main
-from shocklab.flux import ANALYTIC_FLUXES, MAX_FLUX_NODES
+from shocklab.flux import ANALYTIC_FLUXES, MAX_FLUX_NODES, AnalyticFluxSpec, approximate_pw_affine
+from shocklab.riemann import solve_riemann
 from shocklab.scenario import scenario_from_dict
 
 # valid scenarios that together reach every field the parser reads
@@ -116,6 +117,7 @@ NON_FINITE = {
     "float_steps": (2, ("data", "ubar", "random", "steps"), 2.5, "data.ubar.random.steps"),
     "negative_seed": (2, ("data", "ubar", "random", "seed"), -1, "data.ubar.random.seed"),
     "huge_steps": (2, ("data", "ubar", "random", "steps"), 10**30, "data.ubar.random.steps"),
+    "huge_seed": (2, ("data", "ubar", "random", "seed"), 10**400, "data.ubar.random.seed"),
 }
 
 
@@ -256,6 +258,9 @@ ABSURD = {
                          "flux.lo"),
     "buckley_negative_r": (2, ("flux", "params", "r"), -1.0, "flux.params"),
     "buckley_zero_r": (2, ("flux", "params", "r"), 0.0, "flux.params"),
+    # finite nodal values, but hull cross products of about 1e450
+    "hull_overflow": (0, ("flux",), {"kind": "burgers", "lo": -1e150, "hi": 1e150, "mesh": 1e149},
+                      "flux.values"),
 }
 
 
@@ -264,6 +269,17 @@ def test_absurd_flux_names_the_field(tmp_path, capsys, case):
     base, path, value, field = ABSURD[case]
     err = _check_rejected(_with(BASES[base], path, value), tmp_path, capsys)
     assert err.startswith(f"error: {field}: ")
+
+
+def test_hull_of_huge_but_finite_flux_is_exact():
+    # below the hull_overflow line a huge flux still keeps every hull node
+    fl = approximate_pw_affine(AnalyticFluxSpec("burgers", -1e100, 1e100, 1e99))
+    assert len(solve_riemann(fl, -5e99, 5e99).fronts) == 10
+
+
+def test_table_kind_is_unknown(tmp_path, capsys):
+    raw = _with(BASES[0], ("flux",), {"kind": "table", "lo": -2.0, "hi": 2.0, "mesh": 0.5})
+    assert "unknown analytic flux kind 'table'" in _check_rejected(raw, tmp_path, capsys)
 
 
 @st.composite

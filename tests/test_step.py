@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,11 @@ def test_validation():
         StepFunction((1.0, 1.0), (0.0, 1.0, 2.0))
     with pytest.raises(errors.ValidationError):
         StepFunction((1.0,), (0.0, 1.0, 2.0))
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(errors.ValidationError, match="positions"):
+            StepFunction((x,), (0.0, 1.0))
+        with pytest.raises(errors.ValidationError, match="positions"):
+            StepFunction((0.0, x), (0.0, 1.0, 2.0))
 
 
 def test_right_continuous_evaluation():

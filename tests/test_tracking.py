@@ -1,4 +1,7 @@
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +129,16 @@ def test_two_state_emergence_burgers(rng):
         assert x1 - x0 == pytest.approx(0.5 * (t1 - t0), abs=1e-9)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_positions_at_non_finite_time_are_refused(t):
+    # a standing shock sits at 0 * inf = NaN
+    s = init_state(burgers(), step([1.0, -1.0], [0.0]))
+    with pytest.raises(errors.ValidationError, match="^t: "):
+        s.profile(t)
+    with pytest.raises(errors.ValidationError, match="^t: "):
+        s.front_snapshot(t)
+
+
 def test_emergence_from_zero_events():
     fl = burgers()
     s = init_state(fl, step([1.0, 0.0], [0.0]))
@@ -188,8 +201,35 @@ def test_determinism_bit_identical_logs(rng):
     for _ in range(2):
         s = init_state(fl, u0)
         advance(s, 12.0)
-        runs.append([(r.t, r.x, r.incoming, r.outgoing) for r in s.event_log])
+        # JSON text and repr tell -0.0 from 0.0, which == does not
+        runs.append([
+            (json.dumps(r.to_json()), repr([(f.fid, f.x0, f.t0) for f in r.incoming]))
+            for r in s.event_log
+        ])
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("walk", ["advance", "run_until_single_front"])
+def test_walked_state_freed_by_reference_counting(walk):
+    # the event log holds the dead fronts, so a state must not keep its
+    # fronts alive in reference cycles that only the collector could free
+    u0 = step([1.0, -0.5, 0.8, -1.0, 0.3, 0.0], [0.0, 0.2, 0.4, 0.6, 0.8])
+    gc.collect()
+    gc.disable()
+    try:
+        s = init_state(burgers(0.1), u0)
+        if walk == "advance":
+            advance(s, 2.0)
+        else:
+            run_until_single_front(s, (1.0, 1.0), (0.0, 0.0), 2.0)
+        # two live fronts or more link to each other both ways
+        assert s.event_log and len(s.fronts) >= 2
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_front_count_bound(rng):
