@@ -11,7 +11,6 @@ from .flux import (
     AnalyticFluxSpec,
     Flux,
     TripletClass,
-    TripletKind,
     approximate_pw_affine,
     chord_slope_check,
     classify_triplet,
@@ -23,7 +22,7 @@ from .flux import (
     make_flux,
 )
 from .legendre import DualFlux, bidual, legendre_dual
-from .riemann import Front, WaveFan, front_speed, oleinik_condition_e, solve_riemann
+from .riemann import Front, front_speed, oleinik_condition_e, solve_riemann
 from .step import StepFunction
 from .tracking import EmergenceReport, SimState, advance, events, init_state, run_until_single_front
 from .laxoleinik import CharData, PointValue, solve_pointwise, value_function
@@ -33,7 +32,6 @@ from .singleshock import (
     HypothesisParams,
     HypothesisReport,
     VerdictKind,
-    analytic_T0_bound,
     certify,
     check_hypothesis_H,
     check_main_conditions,
@@ -43,15 +41,15 @@ from .singleshock import (
 from .scenario import Scenario, load_scenario, preset, run_scenario
 
 __all__ = [
-    "ShockLabError", "AnalyticFluxSpec", "Flux", "TripletClass", "TripletKind",
+    "ShockLabError", "AnalyticFluxSpec", "Flux", "TripletClass",
     "approximate_pw_affine", "chord_slope_check", "classify_triplet", "convex_modify",
     "convex_modify_onesided", "eval_chord", "eval_tangent", "hull", "make_flux",
-    "DualFlux", "bidual", "legendre_dual", "Front", "WaveFan", "front_speed",
+    "DualFlux", "bidual", "legendre_dual", "Front", "front_speed",
     "oleinik_condition_e", "solve_riemann", "StepFunction", "EmergenceReport",
     "SimState", "advance", "events", "init_state", "run_until_single_front", "CharData",
     "PointValue", "solve_pointwise", "value_function", "CharCurve",
     "is_characteristic_line", "r_curve", "ConditionVerdict", "HypothesisParams",
-    "HypothesisReport", "VerdictKind", "analytic_T0_bound", "certify",
+    "HypothesisReport", "VerdictKind", "certify",
     "check_hypothesis_H", "check_main_conditions", "compute_alpha0", "speed_gap_bound",
     "Scenario", "load_scenario", "preset", "run_scenario",
 ]

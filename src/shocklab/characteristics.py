@@ -84,16 +84,15 @@ def is_characteristic_line(
     a: float,
     p_slope: float,
     horizon: float,
-    n_checks: int = 8,
 ) -> bool:
     """Finite-horizon test that the ray from (a, 0) with speed p_slope stays
-    inside the minimizer set of every point it passes through."""
-    if horizon <= 0 or n_checks < 2:
-        raise ValueError("need horizon > 0 and n_checks >= 2")
+    inside the minimizer set of every point it passes through, checked at
+    eight equispaced times up to the horizon."""
+    _check_time(horizon)
     dual = legendre_dual(fl)
     v0 = _Primitive(u0)
-    for k in range(1, n_checks + 1):
-        t = horizon * k / n_checks
+    for k in range(1, 9):
+        t = horizon * k / 8
         cd = value_function(fl, u0, a + p_slope * t, t)
         p = (cd.x - a) / t
         if p < dual.lo - 1e-12 or p > dual.hi + 1e-12:

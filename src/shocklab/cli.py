@@ -30,7 +30,8 @@ def _read_fields(path: str, *keys: str) -> list:
     try:
         raw = json.loads(Path(path).read_text())
         return [raw[k] for k in keys]
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+    # ValueError: bad UTF-8, bad JSON, over-long integers
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise ParseError(f"{path}: {type(e).__name__}: {e}")
 
 
@@ -189,4 +190,4 @@ def _dispatch(args) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

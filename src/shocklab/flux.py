@@ -10,6 +10,7 @@ so a modest margin around the data suffices).
 
 from __future__ import annotations
 
+import inspect
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ class Flux:
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    slopes: tuple[float, ...] = field(default=(), compare=False)
+    slopes: tuple[float, ...] = field(compare=False)
 
     @property
     def lo(self) -> float:
@@ -145,26 +146,11 @@ class TripletClass(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class TripletKind:
-    kind: TripletClass
-    C: float
-    D: float
-
-    @property
-    def is_convex_convex(self) -> bool:
-        return self.kind is TripletClass.CONVEX_CONVEX
-
-    @property
-    def is_convex_concave(self) -> bool:
-        return self.kind is TripletClass.CONVEX_CONCAVE
-
-
 # ---------------------------------------------------------------------------
 # analytic flux families
 # ---------------------------------------------------------------------------
 
-def _buckley_leverett(r: float) -> Callable[[float], float]:
+def _buckley_leverett(r: float = 1.0) -> Callable[[float], float]:
     # r > 0 keeps the denominator positive: u and 1 - u are never both zero
     if not r > 0:
         raise ValidationError("flux.params", f"buckley_leverett needs r > 0, got r={r}")
@@ -176,11 +162,13 @@ def _buckley_leverett(r: float) -> Callable[[float], float]:
     return f
 
 
+# kind -> builder of the flux; the builder's keyword parameters are the
+# kind's params
 ANALYTIC_FLUXES: dict[str, Callable[..., Callable[[float], float]]] = {
-    "burgers": lambda **kw: lambda u: 0.5 * u * u,
-    "neg_cubic": lambda **kw: lambda u: -u ** 3,
-    "double_well": lambda **kw: lambda u: 0.25 * u ** 4 - u ** 2,
-    "buckley_leverett": lambda **kw: _buckley_leverett(kw.get("r", 1.0)),
+    "burgers": lambda: lambda u: 0.5 * u * u,
+    "neg_cubic": lambda: lambda u: -u ** 3,
+    "double_well": lambda: lambda u: 0.25 * u ** 4 - u ** 2,
+    "buckley_leverett": _buckley_leverett,
 }
 
 
@@ -196,13 +184,25 @@ class AnalyticFluxSpec:
     params: tuple[tuple[str, float], ...] = ()
 
     def evaluator(self) -> Callable[[float], float]:
-        if self.kind not in ANALYTIC_FLUXES:
-            raise EmptyMesh(f"unknown analytic flux kind {self.kind!r}")
-        return ANALYTIC_FLUXES[self.kind](**dict(self.params))
+        build = ANALYTIC_FLUXES.get(self.kind)
+        if build is None:
+            raise ValidationError(
+                "flux.kind",
+                f"unknown analytic flux kind {self.kind!r} (have {sorted(ANALYTIC_FLUXES)})",
+            )
+        params = dict(self.params)
+        known = inspect.signature(build).parameters
+        unknown = sorted(set(params) - set(known))
+        if unknown:
+            raise ValidationError(
+                "flux.params", f"{self.kind} takes params {sorted(known)}, got {unknown}"
+            )
+        return build(**params)
 
 
 def approximate_pw_affine(spec: AnalyticFluxSpec) -> Flux:
     """Interpolate the analytic flux at a mesh-h grid plus the requested corners."""
+    f = spec.evaluator()
     if spec.mesh <= 0:
         raise EmptyMesh("mesh width must be positive")
     if spec.hi <= spec.lo:
@@ -228,7 +228,6 @@ def approximate_pw_affine(spec: AnalyticFluxSpec) -> Flux:
         if merged and x - merged[-1] <= keep_tol:
             continue
         merged.append(x)
-    f = spec.evaluator()
     values = []
     for x in merged:
         try:
@@ -268,13 +267,13 @@ def eval_tangent(fl: Flux, a: float, theta: float) -> float:
     return fl(a) + fl.left_slope(a) * (theta - a)
 
 
-def _monotone(slopes: list[float], tol: float = SLOPE_TOL) -> tuple[bool, bool]:
-    nondec = all(s2 >= s1 - tol for s1, s2 in zip(slopes, slopes[1:]))
-    noninc = all(s2 <= s1 + tol for s1, s2 in zip(slopes, slopes[1:]))
+def _monotone(slopes: list[float]) -> tuple[bool, bool]:
+    nondec = all(s2 >= s1 - SLOPE_TOL for s1, s2 in zip(slopes, slopes[1:]))
+    noninc = all(s2 <= s1 + SLOPE_TOL for s1, s2 in zip(slopes, slopes[1:]))
     return nondec, noninc
 
 
-def classify_triplet(fl: Flux, C: float, D: float) -> TripletKind:
+def classify_triplet(fl: Flux, C: float, D: float) -> TripletClass:
     """Convexity pattern of fl left of C and right of D, read off segment slopes."""
     if not (fl.lo <= C <= D <= fl.hi):
         raise COutOfRange(f"[{C}, {D}] not inside working interval")
@@ -283,10 +282,10 @@ def classify_triplet(fl: Flux, C: float, D: float) -> TripletKind:
     left_cvx, _ = _monotone(left)
     right_cvx, right_ccv = _monotone(right)
     if left_cvx and right_cvx:
-        return TripletKind(TripletClass.CONVEX_CONVEX, C, D)
+        return TripletClass.CONVEX_CONVEX
     if left_cvx and right_ccv:
-        return TripletKind(TripletClass.CONVEX_CONCAVE, C, D)
-    return TripletKind(TripletClass.NEITHER, C, D)
+        return TripletClass.CONVEX_CONCAVE
+    return TripletClass.NEITHER
 
 
 def chord_slope_check(fl: Flux, alpha: float, beta: float, C: float, D: float) -> bool:
@@ -295,8 +294,7 @@ def chord_slope_check(fl: Flux, alpha: float, beta: float, C: float, D: float) -
     When the premise holds, f'(alpha-) < chord slope < f'(beta-) must follow
     for a convex-convex triplet; a violation raises ChordSlopeViolated.
     """
-    kind = classify_triplet(fl, C, D)
-    if not kind.is_convex_convex:
+    if classify_triplet(fl, C, D) is not TripletClass.CONVEX_CONVEX:
         raise WrongTriplet("chord-slope comparison needs a convex-convex triplet")
     if not (fl.lo <= alpha < C and D < beta <= fl.hi):
         return False
@@ -416,7 +414,7 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
     if a >= b:
         raise EmptyInterval(f"need a < b, got [{a}, {b}]")
     if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise ValidationError("side", f"need 'lower' or 'upper', got {side!r}")
     a, b = float(a), float(b)
     lo, hi = bisect_right(fl.breakpoints, a), bisect_left(fl.breakpoints, b)
     # f at a breakpoint is its nodal value, so the interior nodes need no evaluation

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import NotConvex, StateOutOfRange
 from .flux import Flux, make_flux
 
-_CONVEXITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DualFlux:
@@ -87,11 +85,6 @@ class DualFlux:
         return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
 
 
-def _require_convex(fl: Flux) -> None:
-    if not fl.is_convex(tol=_CONVEXITY_TOL):
-        raise NotConvex("dual is defined for convex fluxes only")
-
-
 @lru_cache(maxsize=256)
 def legendre_dual(fl: Flux) -> DualFlux:
     """Exact conjugate: g*(p) = a_i p - g(a_i) on each slope band [m_{i-1}, m_i].
@@ -100,7 +93,8 @@ def legendre_dual(fl: Flux) -> DualFlux:
     maximizer set is the whole run; the run's right endpoint is stored as the
     canonical state.
     """
-    _require_convex(fl)
+    if not fl.is_convex():
+        raise NotConvex("dual is defined for convex fluxes only")
     # collapse runs of equal slopes, remembering each run's extent
     run_slope: list[float] = []
     run_right: list[float] = []   # right endpoint of the run (canonical maximizer)
@@ -120,7 +114,6 @@ def legendre_dual(fl: Flux) -> DualFlux:
 
 def bidual(fl: Flux) -> Flux:
     """Conjugate twice and re-express on the primal working interval."""
-    _require_convex(fl)
     d = legendre_dual(fl)
     if len(d.breakpoints) == 1:
         # affine flux: the dual is a point, the bidual the original line

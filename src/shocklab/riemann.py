@@ -27,28 +27,6 @@ class Front:
         return {"speed": self.speed, "left": self.left, "right": self.right}
 
 
-@dataclass(frozen=True)
-class WaveFan:
-    fronts: tuple[Front, ...]
-
-    def __len__(self) -> int:
-        return len(self.fronts)
-
-    def __iter__(self):
-        return iter(self.fronts)
-
-    @property
-    def speeds(self) -> tuple[float, ...]:
-        return tuple(f.speed for f in self.fronts)
-
-    @property
-    def states(self) -> tuple[float, ...]:
-        """Chained states left to right (u_l first, u_r last)."""
-        if not self.fronts:
-            return ()
-        return (self.fronts[0].left,) + tuple(f.right for f in self.fronts)
-
-
 def front_speed(fl: Flux, l: float, r: float) -> float:
     """Rankine-Hugoniot quotient (f(l) - f(r)) / (l - r)."""
     if l == r:
@@ -56,12 +34,14 @@ def front_speed(fl: Flux, l: float, r: float) -> float:
     return (fl(l) - fl(r)) / (l - r)
 
 
-def solve_riemann(fl: Flux, u_l: float, u_r: float) -> WaveFan:
+def solve_riemann(fl: Flux, u_l: float, u_r: float) -> tuple[Front, ...]:
+    """Entropy fan of the jump from u_l to u_r: its fronts left to right, each
+    front's right state the next one's left state; empty when u_l == u_r."""
     for u in (u_l, u_r):
         if not fl.contains(u):
             raise StateOutOfRange(f"state {u} outside working interval")
     if u_l == u_r:
-        return WaveFan(())
+        return ()
     # the hull holds f exactly at its nodes, so each Rankine-Hugoniot quotient
     # (f(l) - f(r)) / (l - r) is read off it in the same operand order
     if u_l < u_r:
@@ -78,23 +58,23 @@ def solve_riemann(fl: Flux, u_l: float, u_r: float) -> WaveFan:
             Front((vals[i + 1] - vals[i]) / (nodes[i + 1] - nodes[i]), nodes[i + 1], nodes[i])
             for i in reversed(range(len(nodes) - 1))
         ]
-    return WaveFan(tuple(fronts))
+    return tuple(fronts)
 
 
-def oleinik_condition_e(fl: Flux, front: Front, tol: float = 1e-9) -> bool:
+def oleinik_condition_e(fl: Flux, front: Front) -> bool:
     """Entropy admissibility against every flux breakpoint between the states.
 
     For any v strictly between l and r the chord from the left state must run
     at least as steep as the front, the chord into the right state at most:
-    (f(l)-f(v))/(l-v) >= s >= (f(v)-f(r))/(v-r).
+    (f(l)-f(v))/(l-v) >= s >= (f(v)-f(r))/(v-r), each up to an absolute 1e-9.
     """
     l, r, s = front.left, front.right, front.speed
     lo, hi = min(l, r), max(l, r)
     for v in fl.nodes_in(lo, hi, closed=False):
         if v == l or v == r:
             continue
-        if (fl(l) - fl(v)) / (l - v) < s - tol:
+        if (fl(l) - fl(v)) / (l - v) < s - 1e-9:
             return False
-        if (fl(v) - fl(r)) / (v - r) > s + tol:
+        if (fl(v) - fl(r)) / (v - r) > s + 1e-9:
             return False
     return True

@@ -132,24 +132,25 @@ def _parse_step(obj, field: str, A: float, B: float) -> StepFunction:
     )
 
 
-def _parse_flux(obj, field: str = "flux") -> Flux:
-    obj = _object(obj, field)
+def _parse_flux(obj) -> Flux:
+    """The ``flux`` field; approximate_pw_affine rejects unknown kinds and params."""
+    obj = _object(obj, "flux")
     if "breakpoints" in obj:
         return make_flux(
-            _numbers(obj["breakpoints"], f"{field}.breakpoints"),
-            _numbers(_field(obj, "values", field), f"{field}.values"),
+            _numbers(obj["breakpoints"], "flux.breakpoints"),
+            _numbers(_field(obj, "values", "flux"), "flux.values"),
         )
-    kind = _field(obj, "kind", field)
+    kind = _field(obj, "kind", "flux")
     if not isinstance(kind, str):
-        raise ValidationError(f"{field}.kind", f"expected a string, got {kind!r}")
-    params = _object(_field(obj, "params", field, {}), f"{field}.params")
+        raise ValidationError("flux.kind", f"expected a string, got {kind!r}")
+    params = _object(_field(obj, "params", "flux", {}), "flux.params")
     spec = AnalyticFluxSpec(
         kind=kind,
-        lo=_number(_field(obj, "lo", field), f"{field}.lo"),
-        hi=_number(_field(obj, "hi", field), f"{field}.hi"),
-        mesh=_number(_field(obj, "mesh", field), f"{field}.mesh"),
-        corners=tuple(_numbers(_field(obj, "corners", field, []), f"{field}.corners")),
-        params=tuple((k, _number(v, f"{field}.params.{k}")) for k, v in sorted(params.items())),
+        lo=_number(_field(obj, "lo", "flux"), "flux.lo"),
+        hi=_number(_field(obj, "hi", "flux"), "flux.hi"),
+        mesh=_number(_field(obj, "mesh", "flux"), "flux.mesh"),
+        corners=tuple(_numbers(_field(obj, "corners", "flux", []), "flux.corners")),
+        params=tuple((k, _number(v, f"flux.params.{k}")) for k, v in sorted(params.items())),
     )
     return approximate_pw_affine(spec)
 
@@ -165,7 +166,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     B = _number(_field(data, "B", "data"), "data.B")
     if A > B:
         raise ValidationError("data.A", "need A <= B")
-    fl = _parse_flux(_field(raw, "flux", "scenario"), "flux")
+    fl = _parse_flux(_field(raw, "flux", "scenario"))
     u_minus = _parse_step(_field(data, "u_minus", "data", 0.0), "data.u_minus", A, B)
     u_plus = _parse_step(_field(data, "u_plus", "data", 0.0), "data.u_plus", A, B)
     ubar = _parse_step(_field(data, "ubar", "data", 0.0), "data.ubar", A, B)

@@ -117,8 +117,8 @@ def _strict_less(lhs: float, rhs: float) -> tuple[bool, bool]:
 
 def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
     """Verify the slope-preimage identities and width ordering on the lattice."""
-    kind = classify_triplet(fl, hp.C, hp.D)
-    if kind.kind is TripletClass.NEITHER:
+    triplet = classify_triplet(fl, hp.C, hp.D)
+    if triplet is TripletClass.NEITHER:
         raise NotATriplet("flux is not convex-convex or convex-concave at (C, D)")
     failures: list[Witness] = []
 
@@ -148,7 +148,7 @@ def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
     ok, boundary = _strict_less(hp.D, hi_shift)
     if not ok:
         failures.append(Witness("width-right", None, hp.D, hi_shift, boundary))
-    return HypothesisReport(not failures, kind.kind, tuple(failures))
+    return HypothesisReport(not failures, triplet, tuple(failures))
 
 
 def _thetas(fl: Flux, hp: HypothesisParams) -> list[float]:
@@ -209,24 +209,22 @@ def check_main_conditions(fl: Flux, hp: HypothesisParams) -> ConditionVerdict:
     return ConditionVerdict(VerdictKind.VIOLATED, tuple(fail1 + fail2))
 
 
-def compute_alpha0(
-    fl: Flux, beta2: float, lo: float | None = None, hi: float | None = None
-) -> float:
+def compute_alpha0(fl: Flux, beta2: float, hi: float | None = None) -> float:
     """Base point whose tangent line passes through (beta2, f(beta2)).
 
     The tangent-line value at beta2 is constant on each flux segment, so the
     gap function is a nondecreasing step over segments: return a point of an
     exactly-tangent segment when one exists, otherwise the breakpoint where
-    the gap changes sign.
+    the gap changes sign.  The base point lies in [fl.lo, hi], hi defaulting
+    to beta2.
     """
-    lo = fl.lo if lo is None else lo
     hi = beta2 if hi is None else hi
     target = fl(beta2)
     scale = 1.0 + abs(target)
     gaps: list[tuple[float, float, float]] = []   # (segment left, segment right, gap)
     for i, s in enumerate(fl.slopes):
         x0, x1 = fl.breakpoints[i], fl.breakpoints[i + 1]
-        if x1 <= lo or x0 >= hi:
+        if x0 >= hi:
             continue
         gap = fl(x1) + s * (beta2 - x1) - target
         gaps.append((x0, x1, gap))
@@ -236,7 +234,7 @@ def compute_alpha0(
     for (l0, l1, g0), (r0, r1, g1) in zip(gaps, gaps[1:]):
         if g0 < 0 <= g1:
             return r0
-    raise NoRootInInterval(f"no tangent through ({beta2}, {target}) based in [{lo}, {hi}]")
+    raise NoRootInInterval(f"no tangent through ({beta2}, {target}) based in [{fl.lo}, {hi}]")
 
 
 def _lattice(fl: Flux, lo: float, hi: float) -> list[float]:
@@ -257,31 +255,21 @@ def speed_gap_bound(
     s_left is the slowest chord joining the left family to a mid state;
     s_right the fastest chord joining a mid state to the right family.  When
     the gap is positive the boundary waves must meet by the returned time.
+    No bound is claimed when the gap is not positive, or when a family has
+    no chord at all because its states all equal the mid states.
     """
     lefts = _lattice(fl, *left_range)
     rights = _lattice(fl, *right_range)
     mids = _lattice(fl, *mid_range)
     s_left = min(
-        (fl(p) - fl(q)) / (p - q) for p in lefts for q in mids if p != q
+        ((fl(p) - fl(q)) / (p - q) for p in lefts for q in mids if p != q), default=None
     )
     s_right = max(
-        (fl(p) - fl(q)) / (p - q) for p in mids for q in rights if p != q
+        ((fl(p) - fl(q)) / (p - q) for p in mids for q in rights if p != q), default=None
     )
-    if s_left <= s_right:
+    if s_left is None or s_right is None or s_left <= s_right:
         return None
     return (B - A) / (s_left - s_right)
-
-
-def analytic_T0_bound(
-    fl: Flux,
-    hp: HypothesisParams,
-    data_range: tuple[float, float],
-    A: float,
-    B: float,
-) -> float | None:
-    """Bound for the left-high orientation: fast [b2, b1] states chase slow
-    [a1, a2] states through the data range."""
-    return speed_gap_bound(fl, (hp.b2, hp.b1), (hp.a1, hp.a2), data_range, A, B)
 
 
 def ranges_for(kind: VerdictKind, hp: HypothesisParams):
@@ -332,18 +320,16 @@ def certify(
         state = init_state(fl, u0)
     report = run_until_single_front(state, left_range, right_range, horizon)
 
-    data_lo = min(u0.values)
-    data_hi = max(u0.values)
     if verdict.kind is VerdictKind.SATISFIED_II1:
         # the chord-speed induction requires the middle data to stay inside
         # the left family (at or below a2); outside it no bound is claimed
         mid = (min(*u_minus.values, *ubar.values), max(*u_minus.values, *ubar.values))
-        if in_range(mid[1], (-math.inf, hp.a2)):
-            t_tilde = speed_gap_bound(fl, left_range, right_range, mid, A, B)
-        else:
-            t_tilde = None
+        if not in_range(mid[1], (-math.inf, hp.a2)):
+            mid = None
     else:
-        t_tilde = analytic_T0_bound(fl, hp, (data_lo, data_hi), A, B)
+        # fast [b2, b1] states chase slow [a1, a2] states through all the data
+        mid = (min(u0.values), max(u0.values))
+    t_tilde = None if mid is None else speed_gap_bound(fl, left_range, right_range, mid, A, B)
 
     if t_tilde is not None:
         # the chord-speed bound must dominate the measured collapse time

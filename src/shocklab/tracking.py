@@ -117,7 +117,6 @@ class SimState:
         self.flux = flux
         self.t = 0.0
         self.head: _LiveFront | None = fronts[0] if fronts else None
-        self.events_processed = 0
         self.event_log: list[EventRecord] = []
         self.eps_x = 1e-9 * (flux.hi - flux.lo)
         self.max_events = MAX_EVENTS
@@ -140,6 +139,11 @@ class SimState:
         f = self.head
         while f is not None:
             f.prev, f = None, f.next
+
+    @property
+    def events_processed(self) -> int:
+        """Events processed so far, one record each in ``event_log``."""
+        return len(self.event_log)
 
     @property
     def fronts(self) -> list[_LiveFront]:
@@ -196,7 +200,7 @@ class SimState:
         return block
 
     def _process(self, t_hit: float, x_hit: float, a: _LiveFront, b: _LiveFront) -> EventRecord:
-        if self.events_processed >= self.max_events:
+        if len(self.event_log) >= self.max_events:
             raise EventOverflow(f"more than {self.max_events} events")
         self.t = t_hit
         block = self._group(t_hit, x_hit, a, b)
@@ -225,7 +229,6 @@ class SimState:
             self._constant_value = block[0].left
         if self._detector is not None:
             self._detector.splice(block, self.head if before is None else before.next, after)
-        self.events_processed += 1
         rec = EventRecord(t_hit, x_hit, tuple(block), fan)
         self.event_log.append(rec)
         # new adjacencies: block edges only (fan speeds increase, so no inner events)
@@ -285,7 +288,7 @@ def _fan(fans: dict, fl: Flux, l: float, r: float) -> tuple[Front, ...]:
     key = (l, r) if l and r else (l, r, math.copysign(1.0, l), math.copysign(1.0, r))
     fan = fans.get(key)
     if fan is None:
-        fan = fans[key] = solve_riemann(fl, l, r).fronts
+        fan = fans[key] = solve_riemann(fl, l, r)
     return fan
 
 

@@ -39,7 +39,6 @@ def test_convex_modification_check_raises(monkeypatch, modify):
 
 def _fake_bound(monkeypatch, t_tilde):
     monkeypatch.setattr(singleshock, "speed_gap_bound", lambda *a: t_tilde)
-    monkeypatch.setattr(singleshock, "analytic_T0_bound", lambda *a: t_tilde)
 
 
 def test_certify_t0_above_bound_exits_2(monkeypatch, capsys):
@@ -75,6 +74,9 @@ BAD_FILES = {
                                 "positions": ["a"]}),
     "nan_entries": json.dumps({"breakpoints": [-2, float("nan"), 2], "values": [2, 0, 2],
                                "positions": [float("nan")]}),
+    # past the interpreter's limit on integer digits, json.loads raises ValueError
+    "huge_integer": '{"breakpoints": [-2, 0, 2], "values": [2, 0, %s], "positions": [0]}'
+                    % ("1" * 5000),
 }
 
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import mesh, random_step
+from shocklab import errors
 from shocklab.characteristics import is_characteristic_line, r_curve
 from shocklab.flux import make_flux
 from shocklab.step import constant, step
@@ -137,3 +140,9 @@ def test_characteristic_line_absorbed_by_shock():
 
 def test_characteristic_line_fan_center_ray():
     assert is_characteristic_line(V_FLUX, RAREFACTION, 0.0, 0.0, 5.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+def test_characteristic_line_needs_finite_positive_horizon(horizon):
+    with pytest.raises(errors.NonPositiveTime):
+        is_characteristic_line(V_FLUX, RAREFACTION, 0.0, 0.0, horizon)

@@ -125,20 +125,20 @@ def test_classify_burgers_convex_convex():
     pairs = [(0.0, 0.0), (-1.0, 1.0), (0.3, 0.7)]
     pairs += [tuple(sorted(rng.uniform(fl.lo, fl.hi, 2))) for _ in range(40)]
     for c, d in pairs:
-        assert classify_triplet(fl, c, d).kind is TripletClass.CONVEX_CONVEX
+        assert classify_triplet(fl, c, d) is TripletClass.CONVEX_CONVEX
 
 
 def test_classify_neg_cubic_convex_concave():
     fl = neg_cubic_mesh()
-    assert classify_triplet(fl, 0.0, 0.0).kind is TripletClass.CONVEX_CONCAVE
+    assert classify_triplet(fl, 0.0, 0.0) is TripletClass.CONVEX_CONCAVE
 
 
 def test_classify_double_well():
     fl = double_well_mesh()
     c = math.sqrt(2.0 / 3.0)
-    assert classify_triplet(fl, -c, c).kind is TripletClass.CONVEX_CONVEX
+    assert classify_triplet(fl, -c, c) is TripletClass.CONVEX_CONVEX
     # squeezing the triplet into the concave well breaks convexity
-    assert classify_triplet(fl, -0.1, 0.1).kind is TripletClass.NEITHER
+    assert classify_triplet(fl, -0.1, 0.1) is TripletClass.NEITHER
 
 
 def test_classify_out_of_range():
@@ -229,6 +229,11 @@ def test_hull_v_shape():
 def test_hull_empty_interval():
     with pytest.raises(errors.EmptyInterval):
         hull(V_FLUX, 1.0, 1.0, "lower")
+
+
+def test_hull_unknown_side():
+    with pytest.raises(errors.ValidationError, match="^side: "):
+        hull(V_FLUX, -1.0, 1.0, "middle")
 
 
 def test_hull_idempotent_and_extremal():

@@ -261,6 +261,9 @@ ABSURD = {
     # finite nodal values, but hull cross products of about 1e450
     "hull_overflow": (0, ("flux",), {"kind": "burgers", "lo": -1e150, "hi": 1e150, "mesh": 1e149},
                       "flux.values"),
+    "unknown_kind": (0, ("flux", "kind"), "cubic", "flux.kind"),
+    "misspelt_param": (2, ("flux", "params"), {"R": 4.0}, "flux.params"),
+    "param_of_another_kind": (0, ("flux", "params"), {"r": 1.0}, "flux.params"),
 }
 
 
@@ -274,7 +277,7 @@ def test_absurd_flux_names_the_field(tmp_path, capsys, case):
 def test_hull_of_huge_but_finite_flux_is_exact():
     # below the hull_overflow line a huge flux still keeps every hull node
     fl = approximate_pw_affine(AnalyticFluxSpec("burgers", -1e100, 1e100, 1e99))
-    assert len(solve_riemann(fl, -5e99, 5e99).fronts) == 10
+    assert len(solve_riemann(fl, -5e99, 5e99)) == 10
 
 
 def test_table_kind_is_unknown(tmp_path, capsys):

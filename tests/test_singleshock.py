@@ -1,14 +1,15 @@
+import json
 import math
 
 import pytest
 
 from conftest import mesh
 from shocklab import errors
-from shocklab.scenario import _counterexample_2_flux, preset, random_steps
+from shocklab.cli import main as cli_main
+from shocklab.scenario import _counterexample_2_flux, emit_scenario, preset, random_steps
 from shocklab.singleshock import (
     HypothesisParams,
     VerdictKind,
-    analytic_T0_bound,
     certify,
     check_hypothesis_H,
     check_main_conditions,
@@ -161,11 +162,31 @@ def test_alpha0_no_root_for_convex():
 def test_t0_bound_burgers_unbounded():
     fl = burgers()
     hp = HypothesisParams(0.0, 0.0, 0.25, 0.75, 1.0, 1.0)
-    assert analytic_T0_bound(fl, hp, (0.0, 1.0), 0.0, 1.0) is None
+    assert speed_gap_bound(fl, (hp.b2, hp.b1), (hp.a1, hp.a2), (0.0, 1.0), 0.0, 1.0) is None
 
 
 def test_t0_bound_v_flux_unbounded():
     assert speed_gap_bound(V_FLUX, (1.0, 1.0), (-1.0, -1.0), (-1.0, 1.0), 0.0, 1.0) is None
+
+
+def test_no_chord_no_bound():
+    # every left state equals every mid state: no left chord exists
+    assert speed_gap_bound(neg_cubic(), (-0.5, -0.5), (2.0, 2.0), (-0.5, -0.5), 0.0, 1.0) is None
+
+
+@pytest.mark.parametrize("cmd", ["certify", "solve"])
+def test_cli_middle_equal_to_left_state(tmp_path, capsys, cmd):
+    raw = emit_scenario(preset("neg_cubic_ii1"))
+    raw["data"]["ubar"] = -0.5
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli_main([cmd, "--scenario", str(path), "--out", str(out)]) == 0
+    if cmd == "certify":
+        report = json.loads(capsys.readouterr().out)
+    else:
+        report = json.loads((out / "neg_cubic_ii1_report.json").read_text())
+    assert report["T0"] == 0.0 and report["T_tilde"] is None
 
 
 def test_t0_bound_neg_cubic_finite():
