@@ -24,11 +24,12 @@ from .flux import (
 from .legendre import DualFlux, bidual, legendre_dual
 from .riemann import Front, front_speed, oleinik_condition_e, solve_riemann
 from .step import StepFunction
-from .tracking import EmergenceReport, SimState, advance, events, init_state, run_until_single_front
+from .tracking import SimState, advance, events, init_state
 from .laxoleinik import CharData, PointValue, solve_pointwise, value_function
 from .characteristics import CharCurve, is_characteristic_line, r_curve
 from .singleshock import (
     ConditionVerdict,
+    EmergenceReport,
     HypothesisParams,
     HypothesisReport,
     VerdictKind,
@@ -36,6 +37,7 @@ from .singleshock import (
     check_hypothesis_H,
     check_main_conditions,
     compute_alpha0,
+    run_until_single_front,
     speed_gap_bound,
 )
 from .scenario import Scenario, load_scenario, preset, run_scenario

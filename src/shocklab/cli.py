@@ -20,9 +20,9 @@ from .legendre import legendre_dual
 from .characteristics import r_curve
 from .riemann import solve_riemann
 from .scenario import PRESETS, _numbers, load_scenario, preset, run_batch, run_scenario
-from .singleshock import certify, check_main_conditions
+from .singleshock import certify, check_main_conditions, run_until_single_front
 from .step import StepFunction, step
-from .tracking import init_state, run_until_single_front
+from .tracking import init_state
 
 
 def _read_fields(path: str, *keys: str) -> list:

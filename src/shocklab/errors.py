@@ -73,10 +73,6 @@ class WindowExceeded(ShockLabError):
     pass
 
 
-class AtShock(ShockLabError):
-    pass
-
-
 # -- single-shock certification ---------------------------------------------------
 
 class NotATriplet(ShockLabError):

@@ -226,103 +226,56 @@ def emit_scenario(s: Scenario) -> dict:
 # presets
 # ---------------------------------------------------------------------------
 
-def _preset_burgers_shock() -> Scenario:
-    fl = approximate_pw_affine(
-        AnalyticFluxSpec("burgers", -3.0, 3.0, 0.05, corners=(-1.0, 0.0, 1.0, 2.0))
-    )
-    return Scenario(
-        name="burgers_shock",
-        flux=fl,
-        A=0.0,
-        B=1.0,
-        u_minus=constant(1.0),
-        u_plus=constant(0.0),
-        ubar=random_steps(8, 0.0, 1.0, 11, 0.0, 1.0),
-        hypothesis=HypothesisParams(0.0, 0.0, 0.25, 0.75, 1.0, 1.0),
-        t_max=50.0,
-        snapshots=(0.0, 1.0, 5.0, 20.0),
-    )
-
-
-def _preset_neg_cubic_ii1() -> Scenario:
-    fl = approximate_pw_affine(
-        AnalyticFluxSpec("neg_cubic", -3.0, 3.0, 0.05, corners=(-1.5, -1.0, -0.5, 0.0, 2.0, 2.5))
-    )
-    return Scenario(
-        name="neg_cubic_ii1",
-        flux=fl,
-        A=0.0,
-        B=1.0,
-        u_minus=constant(-0.5),
-        u_plus=constant(2.0),
-        ubar=random_steps(6, -1.5, 2.5, 23, 0.0, 1.0),
-        hypothesis=HypothesisParams(-0.5, -0.5, 0.0, 0.0, 2.0, 2.0),
-        t_max=50.0,
-        snapshots=(0.0, 1.0, 5.0),
-    )
-
-
-def _preset_double_well_i() -> Scenario:
-    c = math.sqrt(2.0 / 3.0)
-    fl = approximate_pw_affine(
-        AnalyticFluxSpec(
-            "double_well", -3.2, 3.2, 0.05,
-            corners=(-2.6, -2.5, -2.4, -2.0, -c, 0.0, c, 2.0, 2.4, 2.5, 2.6),
-        )
-    )
-    return Scenario(
-        name="double_well_i",
-        flux=fl,
-        A=0.0,
-        B=1.0,
-        u_minus=constant(2.5),
-        u_plus=constant(-2.5),
-        ubar=random_steps(6, -1.0, 1.0, 37, 0.0, 1.0),
-        hypothesis=HypothesisParams(-2.6, -2.5, -c, c, 2.5, 2.6),
-        t_max=60.0,
-        snapshots=(0.0, 1.0, 5.0),
-    )
-
-
-def _preset_buckley_leverett() -> Scenario:
-    fl = approximate_pw_affine(
-        AnalyticFluxSpec(
-            "buckley_leverett", -0.2, 1.2, 0.01,
-            corners=(0.0, 0.45, 0.5, 0.52, 0.55, 1.0),
-            params=(("r", 1.0),),
-        )
-    )
-    return Scenario(
-        name="buckley_leverett",
-        flux=fl,
-        A=0.0,
-        B=1.0,
-        u_minus=constant(0.55),
-        u_plus=constant(0.0),
-        ubar=random_steps(5, 0.0, 0.55, 5, 0.0, 1.0),
-        hypothesis=HypothesisParams(0.0, 0.0, 0.45, 0.52, 0.55, 0.55),
-        t_max=60.0,
-        snapshots=(0.0, 2.0, 10.0),
-    )
-
-
-def _preset_counterexample_1() -> Scenario:
-    c = math.sqrt(2.0 / 3.0)
-    fl = approximate_pw_affine(
-        AnalyticFluxSpec("double_well", -3.0, 3.0, 0.05, corners=(-2.0, -c, 0.0, c, 2.0))
-    )
-    return Scenario(
-        name="counterexample_1",
-        flux=fl,
-        A=0.0,
-        B=1.0,
-        u_minus=constant(2.0),
-        u_plus=constant(-2.0),
-        ubar=constant(0.0),
-        hypothesis=HypothesisParams(-2.0, -2.0, -c, c, 2.0, 2.0),
-        t_max=100.0,
-        snapshots=(0.0, 25.0, 50.0, 100.0),
-    )
+# Each preset is the object a scenario file holds.  counterexample_2's flux is
+# a breakpoint table that preset() builds on request, not at import.
+_C = math.sqrt(2.0 / 3.0)
+PRESETS = {
+    "burgers_shock": {
+        "flux": {"kind": "burgers", "lo": -3.0, "hi": 3.0, "mesh": 0.05,
+                 "corners": [-1.0, 0.0, 1.0, 2.0]},
+        "data": {"A": 0.0, "B": 1.0, "u_minus": 1.0, "u_plus": 0.0,
+                 "ubar": {"random": {"steps": 8, "lo": 0.0, "hi": 1.0, "seed": 11}}},
+        "hypothesis": {"a1": 0.0, "a2": 0.0, "C": 0.25, "D": 0.75, "b2": 1.0, "b1": 1.0},
+        "run": {"t_max": 50.0, "snapshots": [0.0, 1.0, 5.0, 20.0]},
+    },
+    "neg_cubic_ii1": {
+        "flux": {"kind": "neg_cubic", "lo": -3.0, "hi": 3.0, "mesh": 0.05,
+                 "corners": [-1.5, -1.0, -0.5, 0.0, 2.0, 2.5]},
+        "data": {"A": 0.0, "B": 1.0, "u_minus": -0.5, "u_plus": 2.0,
+                 "ubar": {"random": {"steps": 6, "lo": -1.5, "hi": 2.5, "seed": 23}}},
+        "hypothesis": {"a1": -0.5, "a2": -0.5, "C": 0.0, "D": 0.0, "b2": 2.0, "b1": 2.0},
+        "run": {"t_max": 50.0, "snapshots": [0.0, 1.0, 5.0]},
+    },
+    "double_well_i": {
+        "flux": {"kind": "double_well", "lo": -3.2, "hi": 3.2, "mesh": 0.05,
+                 "corners": [-2.6, -2.5, -2.4, -2.0, -_C, 0.0, _C, 2.0, 2.4, 2.5, 2.6]},
+        "data": {"A": 0.0, "B": 1.0, "u_minus": 2.5, "u_plus": -2.5,
+                 "ubar": {"random": {"steps": 6, "lo": -1.0, "hi": 1.0, "seed": 37}}},
+        "hypothesis": {"a1": -2.6, "a2": -2.5, "C": -_C, "D": _C, "b2": 2.5, "b1": 2.6},
+        "run": {"t_max": 60.0, "snapshots": [0.0, 1.0, 5.0]},
+    },
+    "buckley_leverett": {
+        "flux": {"kind": "buckley_leverett", "lo": -0.2, "hi": 1.2, "mesh": 0.01,
+                 "corners": [0.0, 0.45, 0.5, 0.52, 0.55, 1.0], "params": {"r": 1.0}},
+        "data": {"A": 0.0, "B": 1.0, "u_minus": 0.55, "u_plus": 0.0,
+                 "ubar": {"random": {"steps": 5, "lo": 0.0, "hi": 0.55, "seed": 5}}},
+        "hypothesis": {"a1": 0.0, "a2": 0.0, "C": 0.45, "D": 0.52, "b2": 0.55, "b1": 0.55},
+        "run": {"t_max": 60.0, "snapshots": [0.0, 2.0, 10.0]},
+    },
+    "counterexample_1": {
+        "flux": {"kind": "double_well", "lo": -3.0, "hi": 3.0, "mesh": 0.05,
+                 "corners": [-2.0, -_C, 0.0, _C, 2.0]},
+        "data": {"A": 0.0, "B": 1.0, "u_minus": 2.0, "u_plus": -2.0, "ubar": 0.0},
+        "hypothesis": {"a1": -2.0, "a2": -2.0, "C": -_C, "D": _C, "b2": 2.0, "b1": 2.0},
+        "run": {"t_max": 100.0, "snapshots": [0.0, 25.0, 50.0, 100.0]},
+    },
+    "counterexample_2": {
+        "data": {"A": 0.0, "B": 1.0, "u_minus": -1.5, "u_plus": 2.0, "ubar": -1.0},
+        # -1.0 + eta for the default eta = 0.1 of _counterexample_2_flux
+        "hypothesis": {"a1": -0.9, "a2": -0.9, "C": 0.0, "D": 0.0, "b2": 2.0, "b1": 2.0},
+        "run": {"t_max": 100.0, "snapshots": [0.0, 25.0, 50.0, 100.0]},
+    },
+}
 
 
 def _counterexample_2_flux(eta: float = 0.1) -> Flux:
@@ -344,37 +297,14 @@ def _counterexample_2_flux(eta: float = 0.1) -> Flux:
     return make_flux([x for x, _ in keep], [v for _, v in keep])
 
 
-def _preset_counterexample_2() -> Scenario:
-    eta = 0.1
-    fl = _counterexample_2_flux(eta=eta)
-    return Scenario(
-        name="counterexample_2",
-        flux=fl,
-        A=0.0,
-        B=1.0,
-        u_minus=constant(-1.5),
-        u_plus=constant(2.0),
-        ubar=constant(-1.0),
-        hypothesis=HypothesisParams(-1.0 + eta, -1.0 + eta, 0.0, 0.0, 2.0, 2.0),
-        t_max=100.0,
-        snapshots=(0.0, 25.0, 50.0, 100.0),
-    )
-
-
-PRESETS = {
-    "burgers_shock": _preset_burgers_shock,
-    "neg_cubic_ii1": _preset_neg_cubic_ii1,
-    "double_well_i": _preset_double_well_i,
-    "buckley_leverett": _preset_buckley_leverett,
-    "counterexample_1": _preset_counterexample_1,
-    "counterexample_2": _preset_counterexample_2,
-}
-
-
 def preset(name: str) -> Scenario:
+    """The preset ``name``, parsed and checked like a scenario file."""
     if not isinstance(name, str) or name not in PRESETS:
         raise ValidationError("preset", f"unknown preset {name!r} (have {sorted(PRESETS)})")
-    return PRESETS[name]()
+    obj = PRESETS[name]
+    if "flux" not in obj:
+        obj = {**obj, "flux": _counterexample_2_flux().to_json()}
+    return scenario_from_dict(obj, name)
 
 
 # ---------------------------------------------------------------------------

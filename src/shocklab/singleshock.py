@@ -12,10 +12,18 @@ The decision layer checks, on the breakpoint lattice:
 Certification then runs front tracking with the orientation implied by the
 verdict and reports the earliest persistent range separation, the empirical
 gamma = T0 / |A - B|, and the chord-speed-gap bound when it is finite.
+
+The emergence detector reads the event records of ``tracking.events`` and
+asks after every event whether one front separates the left-range pieces
+from the right-range pieces.  When the two ranges are disjoint, which
+certification always has, a ``_Separation`` keeps that answer up to date
+from the fronts each record says died and were born, at O(block + fan) per
+event; for overlapping ranges it scans the whole chain, O(n) per event.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,7 +37,7 @@ from .errors import (
 )
 from .flux import Flux, TripletClass, classify_triplet, eval_chord, eval_tangent
 from .step import StepFunction, assemble_initial_data
-from .tracking import EmergenceReport, SimState, in_range, init_state, run_until_single_front
+from .tracking import SimState, _LiveFront, events, init_state
 
 STRICT_TOL = 1e-10  # relative margin below which an inequality counts as boundary
 
@@ -117,6 +125,11 @@ def _strict_less(lhs: float, rhs: float) -> tuple[bool, bool]:
 
 def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
     """Verify the slope-preimage identities and width ordering on the lattice."""
+    # band slopes are left slopes, which exist on (lo, hi]
+    if not fl.lo < hp.a1:
+        raise ValidationError("hypothesis.a1", f"need flux.lo = {fl.lo} < a1, got {hp.a1}")
+    if not hp.b1 <= fl.hi:
+        raise ValidationError("hypothesis.b1", f"need b1 <= flux.hi = {fl.hi}, got {hp.b1}")
     triplet = classify_triplet(fl, hp.C, hp.D)
     if triplet is TripletClass.NEITHER:
         raise NotATriplet("flux is not convex-convex or convex-concave at (C, D)")
@@ -151,10 +164,6 @@ def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
     return HypothesisReport(not failures, triplet, tuple(failures))
 
 
-def _thetas(fl: Flux, hp: HypothesisParams) -> list[float]:
-    return sorted({hp.C, hp.D, *fl.nodes_in(hp.C, hp.D)})
-
-
 def _chord_conditions(
     fl: Flux, hp: HypothesisParams, want_below: bool
 ) -> list[Witness]:
@@ -162,7 +171,7 @@ def _chord_conditions(
     lo_shift, hi_shift = hp.shifted_pair
     pairs = [("a1-b1", hp.a1, hp.b1), ("a2-b2", hp.a2, hp.b2), ("shifted", lo_shift, hi_shift)]
     failures = []
-    for theta in _thetas(fl, hp):
+    for theta in _lattice(fl, hp.C, hp.D):
         f_theta = fl(theta)
         for name, a, b in pairs:
             line = eval_chord(fl, a, b, theta)
@@ -277,6 +286,202 @@ def ranges_for(kind: VerdictKind, hp: HypothesisParams):
     if kind is VerdictKind.SATISFIED_II1:
         return (hp.a1, hp.a2), (hp.b2, hp.b1)
     return (hp.b2, hp.b1), (hp.a1, hp.a2)
+
+
+# -- emergence detection -------------------------------------------------------
+
+@dataclass(frozen=True)
+class EmergenceReport:
+    emerged: bool
+    left_range: tuple[float, float]
+    right_range: tuple[float, float]
+    horizon: float
+    t0: float | None = None
+    x0: float | None = None
+    r_samples: tuple[tuple[float, float], ...] = ()
+    final_speed: float | None = None
+    gamma: float | None = None
+    t_tilde: float | None = None
+    events: int = 0
+
+    def to_json(self) -> dict:
+        return {
+            "emerged": self.emerged,
+            "T0": self.t0,
+            "x0": self.x0,
+            "gamma": self.gamma,
+            "T_tilde": self.t_tilde,
+            "horizon": self.horizon,
+            "left_range": list(self.left_range),
+            "right_range": list(self.right_range),
+            "final_speed": self.final_speed,
+            "events": self.events,
+            "r_samples": [{"t": t, "x": x} for t, x in self.r_samples],
+        }
+
+
+def _widened(rng: tuple[float, float]) -> tuple[float, float]:
+    """The ends of rng moved out by a 1e-12 margin relative to each end."""
+    return rng[0] - 1e-12 * (1.0 + abs(rng[0])), rng[1] + 1e-12 * (1.0 + abs(rng[1]))
+
+
+def in_range(v: float, rng: tuple[float, float]) -> bool:
+    """v inside the closed range rng, up to a 1e-12 relative margin at each end."""
+    lo, hi = _widened(rng)
+    return lo <= v <= hi
+
+
+def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None:
+    """Leftmost front splitting left-range pieces from right-range pieces.
+
+    Scans the whole chain; the detector for ranges that may overlap, and the
+    oracle of ``_Separation``.
+    """
+    fronts = s.fronts
+    if not fronts:
+        return None
+    vals = [fronts[0].left] + [f.right for f in fronts]
+    n = len(fronts)
+    left_ok = [False] * (n + 2)
+    right_ok = [False] * (n + 2)
+    acc = True
+    for i in range(n + 1):
+        acc = acc and in_range(vals[i], left_range)
+        left_ok[i] = acc
+    acc = True
+    for i in range(n, -1, -1):
+        acc = acc and in_range(vals[i], right_range)
+        right_ok[i] = acc
+    for k in range(n):
+        if left_ok[k] and right_ok[k + 1]:
+            return fronts[k]
+    return None
+
+
+def _disjoint(left_range, right_range) -> bool:
+    """No value is in_range of both ranges, margins included."""
+    l_lo, l_hi = _widened(left_range)
+    r_lo, r_hi = _widened(right_range)
+    return l_hi < r_lo or r_hi < l_lo
+
+
+_LEFT, _RIGHT, _NEITHER = 0, 1, 2
+
+
+class _Separation:
+    """``_separating_front`` for disjoint ranges, kept up to date from the
+    fronts each event record says died and were born.
+
+    Every piece value is left, right or neither.  With disjoint ranges the
+    chain separates exactly when no piece is neither, no front steps from a
+    right piece to a left one, and exactly one front steps from left to
+    right; that front is the separating one.  ``bad`` counts the neither
+    pieces (each front's right piece, plus the head's left piece, which the
+    constant outer tail fixes for the life of the state) and the right-to-left
+    fronts; ``crossing`` holds the live left-to-right fronts.
+    """
+
+    def __init__(self, fronts: list[_LiveFront], left_range, right_range):
+        self._ranges = left_range, right_range
+        self._classes: dict[float, int] = {}   # piece value -> class
+        self.bad = int(self._class(fronts[0].left) == _NEITHER) if fronts else 0
+        self.crossing: set[_LiveFront] = set()
+        self.update((), fronts)
+
+    def _class(self, v: float) -> int:
+        c = self._classes.get(v)
+        if c is None:
+            left_range, right_range = self._ranges
+            c = self._classes[v] = (
+                _LEFT if in_range(v, left_range)
+                else _RIGHT if in_range(v, right_range)
+                else _NEITHER
+            )
+        return c
+
+    def _count(self, f: _LiveFront, sign: int) -> None:
+        cl, cr = self._class(f.left), self._class(f.right)
+        if cl == _LEFT and cr == _RIGHT:
+            if sign > 0:
+                self.crossing.add(f)
+            else:
+                self.crossing.discard(f)
+        else:
+            self.bad += sign * ((cr == _NEITHER) + (cl == _RIGHT and cr == _LEFT))
+
+    def update(self, gone, born) -> None:
+        """The fronts ``gone`` left the chain and those ``born`` joined it."""
+        for f in gone:
+            self._count(f, -1)
+        for f in born:
+            self._count(f, 1)
+
+    def front(self) -> _LiveFront | None:
+        if self.bad == 0 and len(self.crossing) == 1:
+            return next(iter(self.crossing))
+        return None
+
+
+def run_until_single_front(
+    s: SimState,
+    left_range: tuple[float, float],
+    right_range: tuple[float, float],
+    t_max: float,
+) -> EmergenceReport:
+    """Simulate to t_max and locate the earliest persistent range separation.
+
+    Reports the first event time T0 after which one front index splits every
+    piece left of it (values inside left_range) from every piece right of it
+    (values inside right_range) at each later event up to t_max.
+    """
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValidationError("t_max", f"need a finite positive horizon, got {t_max}")
+    if _disjoint(left_range, right_range):
+        sep = _Separation(s.fronts, left_range, right_range)
+
+        def find(rec):
+            if rec is not None:
+                sep.update(rec.incoming, rec.outgoing)
+            return sep.front()
+    else:
+        find = lambda rec: _separating_front(s, left_range, right_range)
+
+    # (t, x) of the separated checks since the last break, and of those taken
+    # at the break's own time, since T0 may equal it
+    run: list[tuple[float, float]] = []
+    t0 = speed = None
+    for rec in itertools.chain((None,), events(s, t_max)):
+        f = find(rec)
+        if f is None:
+            t0 = None
+            run = [p for p in run if p[0] >= s.t]
+        else:
+            if t0 is None:
+                t0 = s.t
+            run.append((s.t, f.pos(s.t)))
+            speed = f.speed
+    if t0 is None:
+        return EmergenceReport(
+            emerged=False,
+            left_range=left_range,
+            right_range=right_range,
+            horizon=t_max,
+            events=s.events_processed,
+        )
+    samples = [p for p in run if p[0] >= t0]
+    last_t, last_x = samples[-1]
+    samples.append((t_max, last_x + speed * (t_max - last_t)))
+    return EmergenceReport(
+        emerged=True,
+        left_range=left_range,
+        right_range=right_range,
+        horizon=t_max,
+        t0=t0,
+        x0=samples[0][1],
+        r_samples=tuple(samples),
+        final_speed=speed,
+        events=s.events_processed,
+    )
 
 
 def certify(

@@ -13,20 +13,15 @@ neighbours wait in a heap keyed by (time, position, sequence); an entry (a, b)
 is valid while ``a.next is b``, since a dead front is unlinked and a live one
 links only to live ones, so an event costs O(log n) in the number n of live
 fronts: pop, splice the fan into the chain, schedule the two new neighbour
-pairs.  The event log keeps the dead fronts, so it and the live chain are the
-one record of every front's life.  Fans are memoized per (left, right) state
-pair for the life of a SimState, since a fan is a pure function of its two
-lattice states.
+pairs.  Each event's record holds the fronts that died there and those born
+there, so the log and the live chain are the one record of every front's
+life.  Fans are memoized per (left, right) state pair for the life of a
+SimState, since a fan is a pure function of its two lattice states.
 
-``events`` is the one loop that pops and processes collisions.  ``advance``
-and the emergence detector consume it, and it takes requested snapshot
-profiles on the way, so one walk of a state serves all of them.
-
-The emergence detector asks after every event whether one front separates
-the left-range pieces from the right-range pieces.  When the two ranges are
-disjoint, which certification always has, a ``_Separation`` attached to the
-state keeps that answer up to date inside the splice, at O(block + fan) per
-event; for overlapping ranges it scans the whole chain, O(n) per event.
+``events`` is the one loop that pops and processes collisions, and it takes
+requested snapshot profiles on the way.  ``advance`` and the emergence
+detector of ``singleshock`` consume the records it yields, so one walk of a
+state serves all of them.
 """
 
 from __future__ import annotations
@@ -64,11 +59,12 @@ class _LiveFront:
 @dataclass(frozen=True)
 class EventRecord:
     """A collision at (t, x): ``incoming`` holds the tracked fronts that died
-    there, unlinked, and ``outgoing`` the fan that replaced them."""
+    there, unlinked, and ``outgoing`` the tracked fronts of the fan that
+    replaced them, born there."""
     t: float
     x: float
     incoming: tuple[_LiveFront, ...]
-    outgoing: tuple[Front, ...]
+    outgoing: tuple[_LiveFront, ...]
 
     def to_json(self) -> dict:
         pack = lambda f: {"l": f.left, "r": f.right, "s": f.speed}
@@ -77,36 +73,6 @@ class EventRecord:
             "x": self.x,
             "in": [pack(f) for f in self.incoming],
             "out": [pack(f) for f in self.outgoing],
-        }
-
-
-@dataclass(frozen=True)
-class EmergenceReport:
-    emerged: bool
-    left_range: tuple[float, float]
-    right_range: tuple[float, float]
-    horizon: float
-    t0: float | None = None
-    x0: float | None = None
-    r_samples: tuple[tuple[float, float], ...] = ()
-    final_speed: float | None = None
-    gamma: float | None = None
-    t_tilde: float | None = None
-    events: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "emerged": self.emerged,
-            "T0": self.t0,
-            "x0": self.x0,
-            "gamma": self.gamma,
-            "T_tilde": self.t_tilde,
-            "horizon": self.horizon,
-            "left_range": list(self.left_range),
-            "right_range": list(self.right_range),
-            "final_speed": self.final_speed,
-            "events": self.events,
-            "r_samples": [{"t": t, "x": x} for t, x in self.r_samples],
         }
 
 
@@ -127,8 +93,6 @@ class SimState:
         self._constant_value = constant_value
         # requested snapshot time -> profile there, filled in by events()
         self.snapshots: dict[float, StepFunction | None] = {}
-        # kept up to date by _process while run_until_single_front walks
-        self._detector: _Separation | None = None
         for a, b in zip(fronts, fronts[1:]):
             a.next, b.prev = b, a
             self._schedule(a, b)
@@ -210,10 +174,12 @@ class SimState:
             # unlinked, a dead front holds no reference cycle, so a finished
             # state is freed by reference counting, not the cycle collector
             f.prev = f.next = None
-        # splice the fan's fronts between before and after
+        born = tuple(_LiveFront(next(self._fid), x_hit, t_hit, w.speed, w.left, w.right)
+                     for w in fan)
+        # splice the born fronts between before and after
         left = before
-        for w in fan:
-            f = _LiveFront(next(self._fid), x_hit, t_hit, w.speed, w.left, w.right, prev=left)
+        for f in born:
+            f.prev = left
             if left is None:
                 self.head = f
             else:
@@ -227,12 +193,10 @@ class SimState:
             after.prev = left
         if self.head is None:
             self._constant_value = block[0].left
-        if self._detector is not None:
-            self._detector.splice(block, self.head if before is None else before.next, after)
-        rec = EventRecord(t_hit, x_hit, tuple(block), fan)
+        rec = EventRecord(t_hit, x_hit, tuple(block), born)
         self.event_log.append(rec)
         # new adjacencies: block edges only (fan speeds increase, so no inner events)
-        if fan:
+        if born:
             if before is not None:
                 self._schedule(before, before.next)
             if after is not None:
@@ -244,11 +208,17 @@ class SimState:
     # -- queries -----------------------------------------------------------
 
     def _time(self, t: float | None) -> float:
-        """t, or the state's time for None; positions need a finite t."""
+        """t, or the state's time for None.  The live chain holds between
+        the last event and the next pending one, so t must lie there."""
         if t is None:
             return self.t
         if not math.isfinite(t):   # a speed-0 front would sit at 0 * inf = NaN
             raise ValidationError("t", f"need a finite time, got {t}")
+        lo = self.event_log[-1].t if self.event_log else 0.0
+        nxt = self._peek()
+        hi = math.inf if nxt is None else nxt[0]
+        if not lo <= t <= hi:
+            raise ValidationError("t", f"need a time in the event-free window [{lo}, {hi}], got {t}")
         return t
 
     def profile(self, t: float | None = None) -> StepFunction:
@@ -334,167 +304,3 @@ def advance(s: SimState, t_target: float) -> StepFunction:
     for _ in events(s, t_target):
         pass
     return s.profile(t_target)
-
-
-def _widened(rng: tuple[float, float]) -> tuple[float, float]:
-    """The ends of rng moved out by a 1e-12 margin relative to each end."""
-    return rng[0] - 1e-12 * (1.0 + abs(rng[0])), rng[1] + 1e-12 * (1.0 + abs(rng[1]))
-
-
-def in_range(v: float, rng: tuple[float, float]) -> bool:
-    """v inside the closed range rng, up to a 1e-12 relative margin at each end."""
-    lo, hi = _widened(rng)
-    return lo <= v <= hi
-
-
-def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None:
-    """Leftmost front splitting left-range pieces from right-range pieces.
-
-    Scans the whole chain; the detector for ranges that may overlap, and the
-    oracle of ``_Separation``.
-    """
-    fronts = s.fronts
-    if not fronts:
-        return None
-    vals = [fronts[0].left] + [f.right for f in fronts]
-    n = len(fronts)
-    left_ok = [False] * (n + 2)
-    right_ok = [False] * (n + 2)
-    acc = True
-    for i in range(n + 1):
-        acc = acc and in_range(vals[i], left_range)
-        left_ok[i] = acc
-    acc = True
-    for i in range(n, -1, -1):
-        acc = acc and in_range(vals[i], right_range)
-        right_ok[i] = acc
-    for k in range(n):
-        if left_ok[k] and right_ok[k + 1]:
-            return fronts[k]
-    return None
-
-
-def _disjoint(left_range, right_range) -> bool:
-    """No value is in_range of both ranges, margins included."""
-    l_lo, l_hi = _widened(left_range)
-    r_lo, r_hi = _widened(right_range)
-    return l_hi < r_lo or r_hi < l_lo
-
-
-_LEFT, _RIGHT, _NEITHER = 0, 1, 2
-
-
-class _Separation:
-    """``_separating_front`` for disjoint ranges, kept up to date by the splice.
-
-    Every piece value is left, right or neither.  With disjoint ranges the
-    chain separates exactly when no piece is neither, no front steps from a
-    right piece to a left one, and exactly one front steps from left to
-    right; that front is the separating one.  ``bad`` counts the neither
-    pieces (each front's right piece, plus the head's left piece, which the
-    constant outer tail fixes for the life of the state) and the right-to-left
-    fronts; ``crossing`` holds the live left-to-right fronts.
-    """
-
-    def __init__(self, s: SimState, left_range, right_range):
-        self._ranges = left_range, right_range
-        self._classes: dict[float, int] = {}   # piece value -> class
-        self.bad = 0 if s.head is None else int(self._class(s.head.left) == _NEITHER)
-        self.crossing: set[_LiveFront] = set()
-        self.splice((), s.head, None)
-
-    def _class(self, v: float) -> int:
-        c = self._classes.get(v)
-        if c is None:
-            left_range, right_range = self._ranges
-            c = self._classes[v] = (
-                _LEFT if in_range(v, left_range)
-                else _RIGHT if in_range(v, right_range)
-                else _NEITHER
-            )
-        return c
-
-    def _count(self, f: _LiveFront, sign: int) -> None:
-        cl, cr = self._class(f.left), self._class(f.right)
-        if cl == _LEFT and cr == _RIGHT:
-            if sign > 0:
-                self.crossing.add(f)
-            else:
-                self.crossing.discard(f)
-        else:
-            self.bad += sign * ((cr == _NEITHER) + (cl == _RIGHT and cr == _LEFT))
-
-    def splice(self, gone, first, stop) -> None:
-        """The fronts ``gone`` left the chain; those from ``first`` up to,
-        not including, ``stop`` arrived."""
-        for f in gone:
-            self._count(f, -1)
-        while first is not stop:
-            self._count(first, 1)
-            first = first.next
-
-    def front(self) -> _LiveFront | None:
-        if self.bad == 0 and len(self.crossing) == 1:
-            return next(iter(self.crossing))
-        return None
-
-
-def run_until_single_front(
-    s: SimState,
-    left_range: tuple[float, float],
-    right_range: tuple[float, float],
-    t_max: float,
-) -> EmergenceReport:
-    """Simulate to t_max and locate the earliest persistent range separation.
-
-    Reports the first event time T0 after which one front index splits every
-    piece left of it (values inside left_range) from every piece right of it
-    (values inside right_range) at each later event up to t_max.
-    """
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ValidationError("t_max", f"need a finite positive horizon, got {t_max}")
-    if _disjoint(left_range, right_range):
-        s._detector = _Separation(s, left_range, right_range)
-        find = s._detector.front
-    else:
-        find = lambda: _separating_front(s, left_range, right_range)
-
-    # (t, x) of the separated checks since the last break, and of those taken
-    # at the break's own time, since T0 may equal it
-    run: list[tuple[float, float]] = []
-    t0 = speed = None
-    try:
-        for _ in itertools.chain((None,), events(s, t_max)):
-            f = find()
-            if f is None:
-                t0 = None
-                run = [p for p in run if p[0] >= s.t]
-            else:
-                if t0 is None:
-                    t0 = s.t
-                run.append((s.t, f.pos(s.t)))
-                speed = f.speed
-    finally:
-        s._detector = None
-    if t0 is None:
-        return EmergenceReport(
-            emerged=False,
-            left_range=left_range,
-            right_range=right_range,
-            horizon=t_max,
-            events=s.events_processed,
-        )
-    samples = [p for p in run if p[0] >= t0]
-    last_t, last_x = samples[-1]
-    samples.append((t_max, last_x + speed * (t_max - last_t)))
-    return EmergenceReport(
-        emerged=True,
-        left_range=left_range,
-        right_range=right_range,
-        horizon=t_max,
-        t0=t0,
-        x0=samples[0][1],
-        r_samples=tuple(samples),
-        final_speed=speed,
-        events=s.events_processed,
-    )

@@ -24,9 +24,10 @@ from shocklab.singleshock import (
     certify,
     check_main_conditions,
     compute_alpha0,
+    run_until_single_front,
 )
 from shocklab.step import constant, everywhere_leq, l1_distance, step
-from shocklab.tracking import advance, init_state, run_until_single_front
+from shocklab.tracking import advance, init_state
 
 SQ23 = math.sqrt(2.0 / 3.0)
 
@@ -200,7 +201,7 @@ def test_criterion_7_convex_convex_instance():
                 s._process(*head)
                 times.append(s.t)
                 if s.t >= rep.t0:
-                    from shocklab.tracking import _separating_front
+                    from shocklab.singleshock import _separating_front
 
                     assert _separating_front(s, (2.5, 2.6), (-2.6, -2.5)) is not None
 

@@ -10,8 +10,9 @@ from conftest import mesh
 from shocklab import errors, flux, singleshock
 from shocklab.cli import _load_step
 from shocklab.cli import main as cli_main
+from shocklab.scenario import emit_scenario, preset
 from shocklab.step import step
-from shocklab.tracking import EmergenceReport
+from shocklab.singleshock import EmergenceReport
 
 
 def double_well():
@@ -173,3 +174,19 @@ def test_cli_solve_text_snapshot_option_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
+
+
+# band ends of the hypothesis: left slopes exist on (flux.lo, flux.hi]
+BAND_ENDS = [("a1", -3.0, 2), ("a1", -5.0, 2), ("b1", 3.5, 2), ("b1", 3.0, 3)]
+
+
+@pytest.mark.parametrize("cmd", ["check", "certify"])
+@pytest.mark.parametrize("key, value, code", BAND_ENDS)
+def test_hypothesis_band_end_outside_slopes_names_the_field(tmp_path, capsys, cmd, key, value, code):
+    raw = emit_scenario(preset("burgers_shock"))   # flux on [-3, 3]
+    raw["hypothesis"][key] = value
+    path = _write(tmp_path, "f.json", json.dumps(raw))
+    assert cli_main([cmd, "--scenario", path]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(f"error: hypothesis.{key}: ")

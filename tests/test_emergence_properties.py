@@ -7,9 +7,9 @@ import pytest
 
 from conftest import mesh
 from shocklab.scenario import random_steps
-from shocklab.singleshock import HypothesisParams, certify
+from shocklab.singleshock import HypothesisParams, certify, run_until_single_front
 from shocklab.step import constant, step
-from shocklab.tracking import init_state, run_until_single_front
+from shocklab.tracking import init_state
 
 SQ23 = math.sqrt(2.0 / 3.0)
 

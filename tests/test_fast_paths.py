@@ -2,7 +2,7 @@
 oracles they replace: the bisected hull against a scan of every node, fan
 speeds read off the hull against Rankine-Hugoniot quotients of the flux, the
 per-state fan memo against fresh Riemann solves, and the linked front chain
-against the dead fronts the event log holds."""
+against the dead and born fronts the event log holds."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -101,7 +101,8 @@ def test_fan_memo_keeps_the_sign_of_zero():
     ]
 
 
-def _check_chain(s):
+def _check_chain(s, initial):
+    """``initial``: the fids of init_state's chain."""
     fronts = s.fronts
     assert s.head is (fronts[0] if fronts else None)
     for i, f in enumerate(fronts):
@@ -116,6 +117,11 @@ def _check_chain(s):
     assert all(f.prev is None and f.next is None for f in dead)
     fids = sorted(f.fid for f in dead + fronts)
     assert fids == list(range(len(fids)))
+    # and each front is born once: in init_state's chain, or in the record
+    # of the event it leaves, at that event's time and place
+    born = [f for rec in s.event_log for f in rec.outgoing]
+    assert sorted(initial + [f.fid for f in born]) == fids
+    assert all(f.t0 == rec.t and f.x0 == rec.x for rec in s.event_log for f in rec.outgoing)
 
 
 @SETTINGS
@@ -124,7 +130,8 @@ def _check_chain(s):
 def test_chain_links_follow_front_order(seed, convex):
     fl, u0 = random_problem(seed, convex)
     s = init_state(fl, u0)
-    _check_chain(s)
+    initial = [f.fid for f in s.fronts]
+    _check_chain(s, initial)
     for _ in events(s, 50.0):
-        _check_chain(s)
+        _check_chain(s, initial)
     assert s.profile().values[0] == u0.values[0]

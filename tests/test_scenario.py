@@ -5,6 +5,8 @@ import pytest
 from shocklab import errors
 from shocklab.cli import main as cli_main
 from shocklab.scenario import (
+    PRESETS,
+    _counterexample_2_flux,
     emit_scenario,
     load_scenario,
     preset,
@@ -222,3 +224,27 @@ def test_cli_certify_explore_mode(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "violated"
     assert out["exploration"]["emerged"] is False
+
+
+def _artifacts(out):
+    """Every artifact's bytes, the report without its wall-clock meta."""
+    got = {}
+    for p in sorted(out.iterdir()):
+        text = p.read_text()
+        if p.name.endswith("_report.json"):
+            text = json.dumps(_strip_meta(json.loads(text)), sort_keys=True)
+        got[p.name] = text
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_object_as_a_file_writes_the_preset_artifacts(tmp_path, name):
+    # a preset is the object of a scenario file: written out, it runs the same
+    obj = PRESETS[name]
+    if name == "counterexample_2":
+        obj = obj | {"flux": _counterexample_2_flux().to_json()}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["solve", "--scenario", str(path), "--out", str(tmp_path / "file")]) == 0
+    assert cli_main(["solve", "--preset", name, "--out", str(tmp_path / "preset")]) == 0
+    assert _artifacts(tmp_path / "file") == _artifacts(tmp_path / "preset")

@@ -1,9 +1,9 @@
 """The incremental separation detector against the whole-chain scan.
 
-For disjoint ranges ``run_until_single_front`` keeps the answer up to date in
-the splice (``tracking._Separation``); ``tracking._separating_front`` scans
-the chain and stays as the detector for overlapping ranges and as the oracle
-here.  After every event both must name the very same front object.  The
+For disjoint ranges ``run_until_single_front`` keeps the answer up to date
+from the event records (``singleshock._Separation``);
+``singleshock._separating_front`` scans the chain and stays as the detector
+for overlapping ranges and as the oracle here.  After every event both must name the very same front object.  The
 streamed report is compared with the report of the list of per-event checks
 it replaced, bit for bit, and the preset reports with those recorded before
 the detector became incremental.
@@ -20,21 +20,20 @@ from conftest import mesh, random_problem
 from shocklab.errors import ShockLabError, ValidationError
 from shocklab.flux import make_flux
 from shocklab.scenario import PRESETS, preset
-from shocklab.singleshock import certify, check_main_conditions
-from shocklab.step import step
-from shocklab import tracking
-from shocklab.tracking import (
+from shocklab import singleshock, tracking
+from shocklab.singleshock import (
     EmergenceReport,
     _disjoint,
     _Separation,
     _separating_front,
     _widened,
-    advance,
-    events,
+    certify,
+    check_main_conditions,
     in_range,
-    init_state,
     run_until_single_front,
 )
+from shocklab.step import step
+from shocklab.tracking import advance, events, init_state
 
 SETTINGS = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -118,13 +117,15 @@ def ranges(draw, fl, u0):
 
 
 def walk_both(fl, u0, left_range, right_range, t_max=T_MAX):
-    """Walk a state with a _Separation attached; after every event the
-    detector must return the front the scan returns, or both None.
+    """Walk a state, feeding a _Separation each event record; after every
+    event the detector must return the front the scan returns, or both None.
     Returns the state and the answers, as booleans."""
     s = init_state(fl, u0)
-    det = s._detector = _Separation(s, left_range, right_range)
+    det = _Separation(s.fronts, left_range, right_range)
     found = []
-    for _ in itertools.chain((None,), events(s, t_max)):
+    for rec in itertools.chain((None,), events(s, t_max)):
+        if rec is not None:
+            det.update(rec.incoming, rec.outgoing)
         f = det.front()
         assert f is _separating_front(s, left_range, right_range)
         found.append(f is not None)
@@ -151,7 +152,6 @@ def test_streamed_report_equals_per_event_checks(seed, convex, data):
     left_range, right_range = data.draw(ranges(fl, u0), label="ranges")
     s = init_state(fl, u0)
     got = run_until_single_front(s, left_range, right_range, T_MAX)
-    assert s._detector is None
     want = reference_run(init_state(fl, u0), left_range, right_range, T_MAX)
     assert bits(got) == bits(want)
 
@@ -179,8 +179,8 @@ def test_streamed_samples_follow_the_checks(steps):
 
     t_max = t + 1.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tracking, "events", scripted_events)
-        mp.setattr(tracking, "_separating_front", lambda *args: next(script))
+        mp.setattr(singleshock, "events", scripted_events)
+        mp.setattr(singleshock, "_separating_front", lambda *args: next(script))
         # overlapping ranges, so the run asks the (scripted) scan
         got = run_until_single_front(s, (0.0, 1.0), (0.0, 1.0), t_max)
     checks = [(t_f, f is not None, f and f.pos(t_f), f and f.speed)
@@ -252,7 +252,7 @@ def test_overlapping_ranges_take_the_scan(monkeypatch):
             built.append(args[1:])
             super().__init__(*args)
 
-    monkeypatch.setattr(tracking, "_Separation", Spy)
+    monkeypatch.setattr(singleshock, "_Separation", Spy)
     fl = mesh("burgers", -3.0, 3.0, 0.25)
     u0 = step([1.0, 0.5, 0.0], [0.0, 1.0])
     overlapping = [((0.0, 1.0), (0.5, 0.5)), ((0.5, 1.0), (0.0, 0.5)), ((1.0, 1.0), (1.0, 1.0)),
@@ -371,7 +371,7 @@ def test_run_rejects_a_horizon_that_is_not_finite_and_positive(t_max):
     s = init_state(mesh("burgers", -3.0, 3.0, 0.25), step([1.0, 0.0], [0.0]))
     with pytest.raises(ValidationError, match="t_max"):
         run_until_single_front(s, (1.0, 1.0), (0.0, 0.0), t_max)
-    assert s.t == 0.0 and s.events_processed == 0 and s._detector is None
+    assert s.t == 0.0 and s.events_processed == 0
 
 
 @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0])
@@ -394,4 +394,4 @@ def test_walk_rejects_nan_infinity_and_rewind():
     advance(s, 5.0)
     with pytest.raises(ShockLabError, match="t_until"):
         run_until_single_front(s, (1.0, 1.0), (0.0, 0.0), 1.0)
-    assert s.t == 5.0 and s._detector is None
+    assert s.t == 5.0

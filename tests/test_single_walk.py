@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import random_problem
 from shocklab import scenario, tracking
 from shocklab.scenario import _profile_csv, preset, random_steps, run_scenario
-from shocklab.singleshock import certify
-from shocklab.tracking import advance, init_state, run_until_single_front
+from shocklab.singleshock import certify, run_until_single_front
+from shocklab.tracking import advance, init_state
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])

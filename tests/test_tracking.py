@@ -9,8 +9,9 @@ import pytest
 from conftest import mesh, random_step
 from shocklab import errors
 from shocklab.flux import make_flux
+from shocklab.singleshock import run_until_single_front
 from shocklab.step import constant, everywhere_leq, l1_distance, step
-from shocklab.tracking import advance, events, init_state, run_until_single_front
+from shocklab.tracking import advance, events, init_state
 
 V_FLUX = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])
 
@@ -280,3 +281,31 @@ def test_front_count_bounded_by_hull_nodes(rng):
             n_between = len(fl2.nodes_in(outer_lo, outer_hi, closed=False))
             assert len(rec.outgoing) <= n_between + 1
             assert len(rec.outgoing) <= len(rec.incoming) + n_between
+
+
+# three jumps whose fronts first meet at t = 8/3 and merge to one shock by t = 8
+THREE_JUMPS = step([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 2.0])
+
+
+def test_positions_outside_the_event_free_window_are_refused():
+    s = init_state(burgers(0.25), THREE_JUMPS)
+    # a fresh state past its first collision would move fronts through each other
+    for query in (s.profile, s.front_snapshot):
+        with pytest.raises(errors.ValidationError, match="^t: .*event-free window"):
+            query(3.0)
+    # after the walk, t = 0 would extrapolate the one shock left: one jump, not three
+    advance(s, 10.0)
+    for query in (s.profile, s.front_snapshot):
+        with pytest.raises(errors.ValidationError, match="^t: .*event-free window"):
+            query(0.0)
+
+
+def test_both_ends_of_the_event_free_window_equal_advance():
+    bits = lambda p: (tuple(x.hex() for x in p.positions), tuple(v.hex() for v in p.values))
+    s = init_state(burgers(0.25), THREE_JUMPS)
+    advance(s, 3.0)
+    lo, hi = s.event_log[-1].t, s._peek()[0]
+    assert lo < 3.0 < hi
+    for t in (lo, hi):
+        assert bits(s.profile(t)) == bits(advance(init_state(burgers(0.25), THREE_JUMPS), t))
+    assert s.front_snapshot(lo) and s.front_snapshot(hi)
