@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
@@ -54,7 +55,7 @@ class Flux:
 
     def contains(self, x: float) -> bool:
         """x inside the working interval, up to a 1e-12 margin relative to its scale."""
-        tol = 1e-12 * self._scale()
+        tol = 1e-12 * self._scale
         return self.lo - tol <= x <= self.hi + tol
 
     def _segment(self, x: float) -> int:
@@ -64,8 +65,32 @@ class Flux:
         i = bisect_right(self.breakpoints, x) - 1
         return min(max(i, 0), len(self.slopes) - 1)
 
+    @cached_property
     def _scale(self) -> float:
         return 1.0 + max(abs(self.lo), abs(self.hi))
+
+    @cached_property
+    def _runs(self) -> tuple[list[int], list[float], float]:
+        """Maximal strictly convex and strictly concave runs of segments, for hull.
+
+        Segments k - 1 and k share a convex run when the cross product at node
+        k, in hull's operand order, exceeds tmax, and a concave run when it is
+        below -tmax.  shape[j] is 1.0, -1.0 or 0.0 as node j is convex, concave
+        or neither, and start[j] is the first segment of the longest run of
+        that shape ending at segment j, so segments i..j (i < j) lie in one run
+        iff start[j] <= i.  tmax is twice hull's tolerance with max|f| taken
+        over the whole flux: a call's tolerance also counts f at the interval
+        ends, which rounding can lift past max|f|.
+        """
+        bp, vals = self.breakpoints, self.values
+        tmax = 2e-12 * self._scale * (1.0 + max(map(abs, vals)))
+        start, shape = [0], [0.0]
+        for k in range(1, len(bp) - 1):
+            c = _cross((bp[k - 1], vals[k - 1]), (bp[k], vals[k]), (bp[k + 1], vals[k + 1]))
+            s = 1.0 if c > tmax else -1.0 if c < -tmax else 0.0
+            start.append(start[-1] if s and s == shape[-1] else k - 1 if s else k)
+            shape.append(s)
+        return start, shape, tmax
 
     def __call__(self, x: float) -> float:
         i = self._segment(x)
@@ -101,9 +126,10 @@ class Flux:
 
     def nodes_in(self, a: float, b: float, closed: bool = True) -> list[float]:
         """Breakpoints inside [a, b] (or (a, b) when closed=False)."""
+        bp = self.breakpoints
         if closed:
-            return [x for x in self.breakpoints if a <= x <= b]
-        return [x for x in self.breakpoints if a < x < b]
+            return list(bp[bisect_left(bp, a):bisect_right(bp, b)])
+        return list(bp[bisect_right(bp, a):bisect_left(bp, b)])
 
     def is_convex(self, tol: float = SLOPE_TOL) -> bool:
         return all(s2 >= s1 - tol for s1, s2 in zip(self.slopes, self.slopes[1:]))
@@ -125,8 +151,8 @@ def make_flux(breakpoints: Sequence[float], values: Sequence[float]) -> Flux:
     out = _flux_unchecked(bp, vals)
     if any(not math.isfinite(s) for s in out.slopes):
         raise NonMonotoneBreakpoints("segment slopes must be finite")
-    # hull's cross products reach (hi - lo) * 2 max|f| <= 4 _scale() max|f|; keep them finite
-    if not math.isfinite(4.0 * out._scale() * (1.0 + max(map(abs, vals)))):
+    # hull's cross products reach (hi - lo) * 2 max|f| <= 4 _scale max|f|; keep them finite
+    if not math.isfinite(4.0 * out._scale * (1.0 + max(map(abs, vals)))):
         raise ValidationError("flux.values", "values too large for finite hull arithmetic "
                               f"on [{bp[0]}, {bp[-1]}]")
     return out
@@ -409,22 +435,52 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
 
     Hull breakpoints are a subset of the flux breakpoints in [a, b] plus the
     endpoints; collinear nodes are collapsed so hull slopes are strictly
-    monotone.
+    monotone.  Andrew's monotone chain over those nodes is the general path.
+    When [a, b] lies in one strictly convex or strictly concave run of fl
+    (``Flux._runs``), the hull is read off in closed form instead, equal to
+    the chain's bit for bit: the chord when the run curves away from the hull
+    (the upper hull of a convex run, the lower hull of a concave one), and
+    every node of [a, b] when it curves toward it, once the two end triples,
+    which involve the off-lattice states a and b, are checked as well.
     """
     if a >= b:
         raise EmptyInterval(f"need a < b, got [{a}, {b}]")
     if side not in ("lower", "upper"):
         raise ValidationError("side", f"need 'lower' or 'upper', got {side!r}")
     a, b = float(a), float(b)
-    lo, hi = bisect_right(fl.breakpoints, a), bisect_left(fl.breakpoints, b)
-    # f at a breakpoint is its nodal value, so the interior nodes need no evaluation
-    pts = [(a, fl(a)), *zip(fl.breakpoints[lo:hi], fl.values[lo:hi]), (b, fl(b))]
+    bp, vals = fl.breakpoints, fl.values
+    lo, hi = bisect_right(bp, a), bisect_left(bp, b)
     sgn = 1.0 if side == "lower" else -1.0
-    tol = 1e-12 * fl._scale() * (1.0 + max(abs(p[1]) for p in pts))
+    # a lies in segment lo - 1 and b in segment hi - 1; states in the contains
+    # margin outside [bp[0], bp[-1]] take the chain
+    if 0 < lo and hi < len(bp):
+        start, shape, tmax = fl._runs
+        if hi == lo:
+            return _flux_unchecked((a, b), (fl(a), fl(b)))
+        if start[hi - 1] < lo:
+            fa, fb = fl(a), fl(b)
+            if shape[hi - 1] != sgn:
+                # On the exact run every cross (a, node, next) the chain takes
+                # is <= 0.  Rounding f(a) and f(b) adds up to about 1e-15 (b - a)
+                # times the far nodal values of their segments, which must stay
+                # below tol = 1e-12 _scale (1 + max|f| over [a, b]); a steep end
+                # segment can lift f(a) above its next node and keep that node.
+                if abs(vals[lo - 1]) + abs(vals[hi]) <= 128.0 * (1.0 + max(abs(fa), abs(fb))):
+                    return _flux_unchecked((a, b), (fa, fb))
+            else:
+                pa, pb = (a, fa), (b, fb)
+                after = (bp[lo + 1], vals[lo + 1]) if hi > lo + 1 else pb
+                before = (bp[hi - 2], vals[hi - 2]) if hi > lo + 1 else pa
+                if (sgn * _cross(pa, (bp[lo], vals[lo]), after) > tmax
+                        and sgn * _cross(before, (bp[hi - 1], vals[hi - 1]), pb) > tmax):
+                    return _flux_unchecked((a, *bp[lo:hi], b), (fa, *vals[lo:hi], fb))
+    # f at a breakpoint is its nodal value, so the interior nodes need no evaluation
+    pts = [(a, fl(a)), *zip(bp[lo:hi], vals[lo:hi]), (b, fl(b))]
+    tol = 1e-12 * fl._scale * (1.0 + max(abs(p[1]) for p in pts))
     chain: list[tuple[float, float]] = []
     for p in pts:
         while len(chain) >= 2 and sgn * _cross(chain[-2], chain[-1], p) <= tol:
             chain.pop()
         chain.append(p)
-    bp, vals = zip(*chain)
-    return _flux_unchecked(bp, vals)
+    xs, ys = zip(*chain)
+    return _flux_unchecked(xs, ys)

@@ -5,6 +5,13 @@ hull of the flux between the states for an upward jump, the upper concave
 hull for a downward jump.  Every front connects adjacent hull breakpoints and
 moves with the exact Rankine-Hugoniot speed, so the whole fan lives on the
 finite lattice {flux breakpoints} plus the two data states.
+
+Every solve takes its hull from ``flux.hull`` through this module's ``hull``
+attribute, the one entry point.  When both states lie in one strictly convex
+or strictly concave run of the flux, the hull has a closed form: a single
+shock (the chord) where the run curves away from the hull, a rarefaction
+through every node between the states where it curves toward it.  Other
+pairs, such as those spanning an inflection, take the monotone chain.
 """
 
 from __future__ import annotations
@@ -69,12 +76,11 @@ def oleinik_condition_e(fl: Flux, front: Front) -> bool:
     (f(l)-f(v))/(l-v) >= s >= (f(v)-f(r))/(v-r), each up to an absolute 1e-9.
     """
     l, r, s = front.left, front.right, front.speed
-    lo, hi = min(l, r), max(l, r)
-    for v in fl.nodes_in(lo, hi, closed=False):
-        if v == l or v == r:
-            continue
-        if (fl(l) - fl(v)) / (l - v) < s - 1e-9:
+    fl_l, fl_r = fl(l), fl(r)
+    for v in fl.nodes_in(min(l, r), max(l, r), closed=False):
+        fv = fl(v)
+        if (fl_l - fv) / (l - v) < s - 1e-9:
             return False
-        if (fl(v) - fl(r)) / (v - r) > s + 1e-9:
+        if (fv - fl_r) / (v - r) > s + 1e-9:
             return False
     return True

@@ -139,7 +139,7 @@ def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
         s1, s2 = fl.left_slope(x1), fl.left_slope(x2)
         return min(s1, s2), max(s1, s2)
 
-    pos_tol = 1e-12 * fl._scale()
+    pos_tol = 1e-12 * fl._scale
 
     def preimage_check(lo_band, x_lo, x_hi, region, label):
         for x in region:
