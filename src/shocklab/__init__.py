@@ -22,7 +22,7 @@ from .flux import (
     make_flux,
 )
 from .legendre import DualFlux, bidual, legendre_dual
-from .riemann import Front, front_speed, oleinik_condition_e, solve_riemann
+from .riemann import Front, oleinik_condition_e, solve_riemann
 from .step import StepFunction
 from .tracking import SimState, advance, events, init_state
 from .laxoleinik import CharData, PointValue, solve_pointwise, value_function
@@ -46,7 +46,7 @@ __all__ = [
     "ShockLabError", "AnalyticFluxSpec", "Flux", "TripletClass",
     "approximate_pw_affine", "chord_slope_check", "classify_triplet", "convex_modify",
     "convex_modify_onesided", "eval_chord", "eval_tangent", "hull", "make_flux",
-    "DualFlux", "bidual", "legendre_dual", "Front", "front_speed",
+    "DualFlux", "bidual", "legendre_dual", "Front",
     "oleinik_condition_e", "solve_riemann", "StepFunction", "EmergenceReport",
     "SimState", "advance", "events", "init_state", "run_until_single_front", "CharData",
     "PointValue", "solve_pointwise", "value_function", "CharCurve",

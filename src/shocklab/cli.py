@@ -151,22 +151,14 @@ def _dispatch(args) -> int:
         run_scenario(s, args.out)
         return 0
 
-    if args.cmd == "check":
+    if args.cmd in ("check", "certify"):
         s = _scenario_from_args(args)
         if s.hypothesis is None:
             raise ShockLabError("scenario has no hypothesis block")
         verdict = check_main_conditions(s.flux, s.hypothesis)
-        print(json.dumps(verdict.to_json(), sort_keys=True, indent=2))
-        return 0 if verdict.satisfied else 3
-
-    if args.cmd == "certify":
-        s = _scenario_from_args(args)
-        if s.hypothesis is None:
-            raise ShockLabError("scenario has no hypothesis block")
-        verdict = check_main_conditions(s.flux, s.hypothesis)
-        if not verdict.satisfied:
+        if args.cmd == "check" or not verdict.satisfied:
             out = verdict.to_json()
-            if args.explore:
+            if args.cmd == "certify" and args.explore:
                 # no certificate: just watch whether the data tails separate
                 state = init_state(s.flux, s.initial_data())
                 lr = (min(s.u_minus.values), max(s.u_minus.values))
@@ -174,7 +166,7 @@ def _dispatch(args) -> int:
                 probe = run_until_single_front(state, lr, rr, s.t_max)
                 out["exploration"] = probe.to_json()
             print(json.dumps(out, sort_keys=True, indent=2))
-            return 3
+            return 0 if verdict.satisfied else 3
         report = certify(
             s.flux, s.hypothesis, s.A, s.B, s.u_minus, s.ubar, s.u_plus,
             t_max=s.t_max, verdict=verdict,

@@ -55,10 +55,6 @@ class NotConvex(ShockLabError):
 
 # -- Riemann / front tracking --------------------------------------------------
 
-class EqualStates(ShockLabError):
-    pass
-
-
 class EventOverflow(ShockLabError):
     pass
 

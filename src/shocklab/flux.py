@@ -114,16 +114,6 @@ class Flux:
             raise BoundaryPoint(f"no right slope at {x}")
         return self.slopes[self._segment(x)]
 
-    def lipschitz(self, lo: float, hi: float) -> float:
-        """Max |slope| over segments meeting [lo, hi]."""
-        if lo > hi:
-            lo, hi = hi, lo
-        out = 0.0
-        for i, s in enumerate(self.slopes):
-            if self.breakpoints[i + 1] > lo and self.breakpoints[i] < hi:
-                out = max(out, abs(s))
-        return out
-
     def nodes_in(self, a: float, b: float, closed: bool = True) -> list[float]:
         """Breakpoints inside [a, b] (or (a, b) when closed=False)."""
         bp = self.breakpoints

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EqualStates, StateOutOfRange
+from .errors import StateOutOfRange
 from .flux import Flux, hull
 
 
@@ -34,23 +34,15 @@ class Front:
         return {"speed": self.speed, "left": self.left, "right": self.right}
 
 
-def front_speed(fl: Flux, l: float, r: float) -> float:
-    """Rankine-Hugoniot quotient (f(l) - f(r)) / (l - r)."""
-    if l == r:
-        raise EqualStates("front needs distinct states")
-    return (fl(l) - fl(r)) / (l - r)
-
-
 def solve_riemann(fl: Flux, u_l: float, u_r: float) -> tuple[Front, ...]:
     """Entropy fan of the jump from u_l to u_r: its fronts left to right, each
     front's right state the next one's left state; empty when u_l == u_r."""
-    for u in (u_l, u_r):
-        if not fl.contains(u):
-            raise StateOutOfRange(f"state {u} outside working interval")
     if u_l == u_r:
+        if not fl.contains(u_l):
+            raise StateOutOfRange(f"state {u_l} outside working interval")
         return ()
-    # the hull holds f exactly at its nodes, so each Rankine-Hugoniot quotient
-    # (f(l) - f(r)) / (l - r) is read off it in the same operand order
+    # hull checks both states' range and holds f exactly at its nodes, so each
+    # quotient (f(l) - f(r)) / (l - r) is read off it in the same operand order
     if u_l < u_r:
         h = hull(fl, u_l, u_r, "lower")
         nodes, vals = h.breakpoints, h.values

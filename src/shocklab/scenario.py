@@ -25,7 +25,7 @@ from .errors import ParseError, ValidationError
 from .flux import AnalyticFluxSpec, Flux, approximate_pw_affine, make_flux
 from .singleshock import HypothesisParams, certify, check_main_conditions
 from .step import StepFunction, assemble_initial_data, constant, step
-from .tracking import advance, init_state
+from .tracking import SimState, advance, init_state
 
 
 @dataclass(frozen=True)
@@ -281,9 +281,9 @@ PRESETS = {
 def _counterexample_2_flux(eta: float = 0.1) -> Flux:
     """neg_cubic mesh with the nodes inside (-1-eta, -1+eta) removed.
 
-    The bridging segment is then exactly collinear with the chord from its
-    right end to (2, f(2)), which makes the tangency of the second
-    counterexample exact on the lattice.
+    The bridging segment is meant to lie on the chord from its right end a1 to
+    (2, f(2)).  It does not on the lattice: in exact arithmetic over the stored
+    nodes, f(2) lies 1.60e-15 above the a1 tangent (ROADMAP item 2).
     """
     spec = AnalyticFluxSpec(
         "neg_cubic", -3.0, 3.0, 0.05, corners=(-1.5, -1.0 - eta, -1.0 + eta, 0.0, 2.0)
@@ -320,6 +320,53 @@ def _profile_csv(profile: StepFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _num(v: float) -> str:
+    """v as json.dumps writes it (repr would name np.float64); JSON has no inf or NaN."""
+    if not math.isfinite(v):
+        raise ValidationError("event log", f"need finite numbers, got {v}")
+    return float.__repr__(v)
+
+
+def _write_logs(state: SimState, out: Path, name: str) -> None:
+    """Stream the event log and the front table in one walk of ``state.event_log``.
+
+    Each NDJSON line equals ``json.dumps(rec.to_json(), sort_keys=True)``.  Fids
+    are dense: the initial fronts first, then the born ones in log order.  So
+    once each front's end time is known, the table rows of the fronts born at a
+    record follow that record in fid order and reuse its printed t and x.  A
+    front's JSON object is made at its birth and reused at its death.
+    """
+    log = state.event_log
+    live = state.fronts
+    n = len(live) + sum(len(rec.incoming) for rec in log)
+    fronts, ends = [None] * n, [state.t] * n
+    for f in live:
+        fronts[f.fid] = f
+    for rec in log:
+        for f in rec.incoming:
+            fronts[f.fid], ends[f.fid] = f, rec.t
+    packed: dict = {}   # fid of a live front -> its JSON object
+
+    def pack(f) -> str:
+        return '{"l": %s, "r": %s, "s": %s}' % (_num(f.left), _num(f.right), _num(f.speed))
+
+    with (out / f"{name}_events.ndjson").open("w") as ev, (out / f"{name}_fronts.csv").open("w") as tb:
+        tb.write("front_id,t,x\n")
+        for f in fronts[:n - sum(len(rec.outgoing) for rec in log)]:   # the initial fronts
+            te = ends[f.fid]
+            tb.write(f"{f.fid},{f.t0!r},{f.x0!r}\n{f.fid},{te!r},{f.x0 + f.speed * (te - f.t0)!r}\n")
+        for rec in log:
+            t, x = _num(rec.t), _num(rec.x)
+            dead = ", ".join([packed.pop(f.fid, None) or pack(f) for f in rec.incoming])
+            born = []
+            for f in rec.outgoing:
+                packed[f.fid] = p = pack(f)
+                born.append(p)
+                te = ends[f.fid]
+                tb.write(f"{f.fid},{t},{x}\n{f.fid},{te!r},{f.x0 + f.speed * (te - f.t0)!r}\n")
+            ev.write(f'{{"in": [{dead}], "out": [{", ".join(born)}], "t": {t}, "x": {x}}}\n')
+
+
 def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     """Execute one scenario; write profile CSVs, the event log, the front
     trajectory table, and the report JSON.  Returns the report dict.
@@ -330,9 +377,9 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     t_start = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    u0 = s.initial_data()
-    state = init_state(s.flux, u0)
+    state = init_state(s.flux, s.initial_data())
     state.snapshots = dict.fromkeys(s.snapshots)   # filled in by the walk
+    laps = {"init": time.perf_counter()}   # phase -> clock at its end
 
     report: dict = {
         "name": s.name,
@@ -348,6 +395,7 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     }
     if s.hypothesis is not None:
         verdict = check_main_conditions(s.flux, s.hypothesis)
+        laps["check"] = time.perf_counter()
         report["kind"] = verdict.kind.value
         report["witnesses"] = [w.to_json() for w in verdict.witnesses]
         if verdict.satisfied:
@@ -355,6 +403,7 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
                 s.flux, s.hypothesis, s.A, s.B, s.u_minus, s.ubar, s.u_plus,
                 t_max=s.t_max, verdict=verdict, state=state,
             )
+            laps["certify"] = time.perf_counter()
             report["verdict"] = "emerged" if emergence.emerged else "not_emerged"
             em = emergence.to_json()
             for key in ("T0", "x0", "gamma", "T_tilde", "horizon", "r_samples", "final_speed"):
@@ -364,23 +413,19 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
 
     # finish the walk; certify, when it ran, stopped it at t_max
     advance(state, max((s.t_max, *s.snapshots)))
+    laps["finish"] = time.perf_counter()
     for t in sorted(s.snapshots):
         (out / f"{s.name}_profile_t{t:g}.csv").write_text(_profile_csv(state.snapshots[t]))
 
-    with (out / f"{s.name}_events.ndjson").open("w") as fh:
-        for rec in state.event_log:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-
-    with (out / f"{s.name}_fronts.csv").open("w") as fh:
-        fh.write("front_id,t,x\n")
-        # each front once: dead at the time of the record listing it, or live at state.t
-        dead = [(f, rec.t) for rec in state.event_log for f in rec.incoming]
-        for f, t_end in sorted(dead + [(f, state.t) for f in state.fronts], key=lambda p: p[0].fid):
-            fh.write(f"{f.fid},{f.t0!r},{f.x0!r}\n")
-            fh.write(f"{f.fid},{t_end!r},{f.pos(t_end)!r}\n")
+    _write_logs(state, out, s.name)
+    laps["artifacts"] = time.perf_counter()
 
     report["events"] = state.events_processed
-    report["meta"] = {"wall_s": time.perf_counter() - t_start}
+    phases, last = {}, t_start
+    for key in ("init", "check", "certify", "finish", "artifacts"):
+        end = laps.get(key, last)   # a skipped phase takes no time
+        phases[key], last = end - last, end
+    report["meta"] = {"wall_s": last - t_start, "phases_s": phases}
     (out / f"{s.name}_report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
     return report
 

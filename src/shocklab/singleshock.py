@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .errors import (
@@ -78,13 +78,7 @@ class Witness:
     at_boundary: bool
 
     def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "theta": self.theta,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "at_boundary": self.at_boundary,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

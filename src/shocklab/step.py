@@ -84,14 +84,9 @@ def constant(c: float) -> StepFunction:
     return StepFunction((), (float(c),))
 
 
-def merged_edges(u: StepFunction, v: StepFunction, a: float, b: float) -> list[float]:
-    xs = sorted({a, b, *(x for x in u.positions if a < x < b), *(x for x in v.positions if a < x < b)})
-    return xs
-
-
 def l1_distance(u: StepFunction, v: StepFunction, a: float, b: float) -> float:
     """Exact integral of |u - v| over [a, b]."""
-    xs = merged_edges(u, v, a, b)
+    xs = sorted({a, b, *(x for x in u.positions if a < x < b), *(x for x in v.positions if a < x < b)})
     out = 0.0
     for x0, x1 in zip(xs, xs[1:]):
         mid = 0.5 * (x0 + x1)

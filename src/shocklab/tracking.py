@@ -85,7 +85,6 @@ class SimState:
         self.head: _LiveFront | None = fronts[0] if fronts else None
         self.event_log: list[EventRecord] = []
         self.eps_x = 1e-9 * (flux.hi - flux.lo)
-        self.max_events = MAX_EVENTS
         self._heap: list[tuple[float, float, int, _LiveFront, _LiveFront]] = []
         self._seq = itertools.count()
         self._fans = fans
@@ -121,18 +120,13 @@ class SimState:
 
     # -- scheduling --------------------------------------------------------
 
-    def _collision(self, a: _LiveFront, b: _LiveFront) -> tuple[float, float] | None:
+    def _schedule(self, a: _LiveFront, b: _LiveFront) -> None:
+        """Queue the collision of neighbours a, b, unless they never meet."""
         ds = a.speed - b.speed
         if ds <= PARALLEL_TOL:
-            return None
-        gap = b.pos(self.t) - a.pos(self.t)
-        t_hit = self.t + max(gap, 0.0) / ds
-        return t_hit, a.pos(t_hit)
-
-    def _schedule(self, a: _LiveFront, b: _LiveFront) -> None:
-        hit = self._collision(a, b)
-        if hit is not None:
-            heapq.heappush(self._heap, (hit[0], hit[1], next(self._seq), a, b))
+            return
+        t_hit = self.t + max(b.pos(self.t) - a.pos(self.t), 0.0) / ds
+        heapq.heappush(self._heap, (t_hit, a.pos(t_hit), next(self._seq), a, b))
 
     def _peek(self) -> tuple[float, float, _LiveFront, _LiveFront] | None:
         """Earliest valid heap entry as (t, x, a, b); drops stale ones.
@@ -164,8 +158,8 @@ class SimState:
         return block
 
     def _process(self, t_hit: float, x_hit: float, a: _LiveFront, b: _LiveFront) -> EventRecord:
-        if len(self.event_log) >= self.max_events:
-            raise EventOverflow(f"more than {self.max_events} events")
+        if len(self.event_log) >= MAX_EVENTS:
+            raise EventOverflow(f"more than {MAX_EVENTS} events")
         self.t = t_hit
         block = self._group(t_hit, x_hit, a, b)
         before, after = block[0].prev, block[-1].next

@@ -46,6 +46,23 @@ def random_problem(seed, convex):
     return fl, random_step(rng, int(rng.integers(2, 12)), fl.lo + margin, fl.hi - margin)
 
 
+def front_speed(fl, l, r):
+    """Rankine-Hugoniot quotient (f(l) - f(r)) / (l - r), the oracle for the
+    speeds solve_riemann reads off the hull."""
+    return (fl(l) - fl(r)) / (l - r)
+
+
+def lipschitz(fl, lo, hi):
+    """Max |slope| over the segments of fl meeting [lo, hi]."""
+    if lo > hi:
+        lo, hi = hi, lo
+    out = 0.0
+    for i, s in enumerate(fl.slopes):
+        if fl.breakpoints[i + 1] > lo and fl.breakpoints[i] < hi:
+            out = max(out, abs(s))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

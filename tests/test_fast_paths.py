@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh, random_problem
+from conftest import front_speed, mesh, random_problem
 from shocklab import riemann
 from shocklab.flux import ANALYTIC_FLUXES, hull, make_flux
-from shocklab.riemann import Front, front_speed, oleinik_condition_e, solve_riemann
+from shocklab.riemann import Front, oleinik_condition_e, solve_riemann
 from shocklab.step import step
 from shocklab.tracking import events, init_state
 

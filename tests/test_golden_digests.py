@@ -2,7 +2,9 @@
 
 The event log (NDJSON, one sorted-key record per line), the final profile,
 the scenario report (minus its wall-clock ``meta``) and every other artifact
-``run_scenario`` writes are hashed for the six presets and for a seeded random suite on Burgers and non-convex fluxes.  Any
+``run_scenario`` writes are hashed for the six presets, for a seeded random
+suite on Burgers and non-convex fluxes, and for two presets solved with 200
+random middle steps, whose logs hold thousands of records.  Any
 change to event order, front speeds, positions or states changes a digest, so
 a speed-up that passes this test leaves every artifact byte unchanged.
 
@@ -13,6 +15,7 @@ table over ``GOLDEN``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -30,6 +33,12 @@ RANDOM_SUITE = {
     "burgers_k400_s3": ("burgers", -3.0, 3.0, 0.05, 400, -1.0, 1.0, 3),
     "neg_cubic_k80_s2": ("neg_cubic", -3.0, 3.0, 0.05, 80, -1.5, 2.5, 2),
     "double_well_k80_s4": ("double_well", -3.2, 3.2, 0.05, 80, -2.5, 2.5, 4),
+}
+
+# preset -> (middle data lo, hi), solved with 200 random steps of seed 3
+SOLVE_SUITE = {
+    "neg_cubic_ii1": (-1.5, 2.5),
+    "buckley_leverett": (0.0, 0.55),
 }
 
 GOLDEN = {
@@ -131,6 +140,22 @@ GOLDEN = {
         "neg_cubic_ii1_profile_t0.csv": "d6d5a2770dcdf0919f8abe00334c417a78bf6c10722ad5c7b50cfa8862bd54f6",
         "neg_cubic_ii1_profile_t1.csv": "a62a35175af6d0d2aff42f011cbc49a7d598fad320ac7f0f9eff1658e6e44d2f",
         "neg_cubic_ii1_profile_t5.csv": "acb8f4acbe938633974ec4769b14f9f46e408f3d4b57f64f5b51c3b253face0d"
+    },
+    "solve/buckley_leverett": {
+        "report": "d0af582f24b97a8a0ccede0e5000af603a916e71f2e2a7d413c6c95f51315275",
+        "buckley_leverett_events.ndjson": "04e882580cece8bfe71ddb0cec9dfde9b378bc67f7447fa8ec454b51e4099357",
+        "buckley_leverett_fronts.csv": "cb5d476c055573ebb5ee41cc0be1f6030f24f7d10c85d8cacab8eca2d09de295",
+        "buckley_leverett_profile_t0.csv": "25c4084d3ee2839b1d4ee76bbb728162dafda3d9571fc32b210f33c2347d7326",
+        "buckley_leverett_profile_t10.csv": "70c62b1161295b9ce260d8d04aad75b0fd45dc7c5db19ea0706bac15e04ff398",
+        "buckley_leverett_profile_t2.csv": "1519347f4bdd9ef29ead60842a53e836a9a4f17f97f7f68112ba568c14eec79c"
+    },
+    "solve/neg_cubic_ii1": {
+        "report": "1da2e581ae7ba1e79e557f9f3d22de2603f1c4c1a8ea21843b7734ed2ef0f9e9",
+        "neg_cubic_ii1_events.ndjson": "152776bec6a3f7b4fda519a54a2f43ccdd87c46bd1ba9f975915dbb1a3196b68",
+        "neg_cubic_ii1_fronts.csv": "6691bdda269fe045a065f15cd2acfb96e2c1dcac3b2057cab34cc81937e75cb1",
+        "neg_cubic_ii1_profile_t0.csv": "474b37a468a7fa0dc8e22d7cadcbbc7272148043be267366cf931b166be3f983",
+        "neg_cubic_ii1_profile_t1.csv": "b4488e29009a61ab9084d68626b0e708495229e12a9112e6aae288942a524bb3",
+        "neg_cubic_ii1_profile_t5.csv": "06d68cb916a1cc8bd3a5752dd21da059ca88e409d649c07d9d7c662a573bcb98"
     }
 }
 
@@ -155,23 +180,34 @@ def random_case(name: str) -> dict:
     }
 
 
-def preset_case(name: str, tmp_dir) -> dict:
-    s = preset(name)
-    state = init_state(s.flux, s.initial_data())
-    profile = advance(state, s.t_max)
+def artifact_digests(s, tmp_dir) -> dict:
+    """The report without its meta, and every other artifact run_scenario writes."""
     report = run_scenario(s, tmp_dir)
     report.pop("meta")
-    out = {
-        "events": _log_digest(state),
-        "profile": _sha(json.dumps(profile.to_json())),
-        "n_events": state.events_processed,
-        "report": _sha(json.dumps(report, sort_keys=True, indent=2)),
-    }
-    # every other artifact: event log, front table, profile snapshots
+    out = {"report": _sha(json.dumps(report, sort_keys=True, indent=2))}
     for path in sorted(tmp_dir.iterdir()):
         if not path.name.endswith("_report.json"):
             out[path.name] = _sha(path.read_text())
     return out
+
+
+def solve_case(name: str, tmp_dir) -> dict:
+    s = preset(name)
+    lo, hi = SOLVE_SUITE[name]
+    s = dataclasses.replace(s, ubar=random_steps(200, lo, hi, 3, s.A, s.B))
+    return artifact_digests(s, tmp_dir)
+
+
+def preset_case(name: str, tmp_dir) -> dict:
+    s = preset(name)
+    state = init_state(s.flux, s.initial_data())
+    profile = advance(state, s.t_max)
+    return {
+        "events": _log_digest(state),
+        "profile": _sha(json.dumps(profile.to_json())),
+        "n_events": state.events_processed,
+        **artifact_digests(s, tmp_dir),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_SUITE))
@@ -184,6 +220,11 @@ def test_preset_digests(name, tmp_path):
     assert preset_case(name, tmp_path) == GOLDEN[f"preset/{name}"]
 
 
+@pytest.mark.parametrize("name", sorted(SOLVE_SUITE))
+def test_random_middle_solve_digests(name, tmp_path):
+    assert solve_case(name, tmp_path) == GOLDEN[f"solve/{name}"]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -192,4 +233,7 @@ if __name__ == "__main__":
     for n in sorted(PRESETS):
         with tempfile.TemporaryDirectory() as d:
             table[f"preset/{n}"] = preset_case(n, Path(d))
+    for n in sorted(SOLVE_SUITE):
+        with tempfile.TemporaryDirectory() as d:
+            table[f"solve/{n}"] = solve_case(n, Path(d))
     print("GOLDEN = " + json.dumps(table, indent=4))

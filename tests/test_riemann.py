@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import mesh, random_flux
+from conftest import front_speed, mesh, random_flux
 from shocklab import errors
-from shocklab.flux import make_flux
-from shocklab.riemann import front_speed, oleinik_condition_e, solve_riemann
+from shocklab.flux import Flux, make_flux
+from shocklab.riemann import oleinik_condition_e, solve_riemann
 
 V_FLUX = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])
 
@@ -40,7 +40,7 @@ def test_front_speed_examples():
 
 
 def test_front_speed_equal_states():
-    with pytest.raises(errors.EqualStates):
+    with pytest.raises(ZeroDivisionError):
         front_speed(V_FLUX, 1.0, 1.0)
 
 
@@ -78,3 +78,29 @@ def test_random_fans_admissible(rng):
             # Rankine-Hugoniot holds exactly by construction
             assert f.speed == (fl(f.left) - fl(f.right)) / (f.left - f.right)
             assert oleinik_condition_e(fl, f)
+
+
+@pytest.mark.parametrize("u_l, u_r", [
+    (0.0, 3.0), (3.0, 0.0), (-3.0, 0.0), (0.0, -3.0), (3.0, 3.0), (-3.0, 3.0),
+    (float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0), (0.0, float("-inf")),
+])
+def test_state_out_of_range_either_side(u_l, u_r):
+    with pytest.raises(errors.StateOutOfRange):
+        solve_riemann(V_FLUX, u_l, u_r)
+
+
+@pytest.mark.parametrize("u_l, u_r, checks", [
+    (-1.5, 1.5, 2), (1.5, -1.5, 2), (0.25, 0.75, 2), (0.5, 0.5, 1), (2.0, -2.0, 2),
+])
+def test_one_range_check_per_state(monkeypatch, u_l, u_r, checks):
+    # the hull's evaluation of f at each state is the range check
+    calls = []
+    contains = Flux.contains
+
+    def counting(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(Flux, "contains", counting)
+    solve_riemann(V_FLUX, u_l, u_r)
+    assert len(calls) == checks

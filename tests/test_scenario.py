@@ -98,6 +98,24 @@ def test_burgers_scenario_report(tmp_path):
     assert (tmp_path / "burgers_shock_fronts.csv").exists()
 
 
+PHASES = {"init", "check", "certify", "finish", "artifacts"}
+
+
+@pytest.mark.parametrize("name, skipped", [
+    ("burgers_shock", set()),              # checked and certified
+    ("counterexample_1", {"certify"}),     # conditions violated
+    ("mini", {"check", "certify"}),        # no hypothesis block
+])
+def test_meta_times_each_phase(tmp_path, name, skipped):
+    s = scenario_from_dict(MINIMAL) if name == "mini" else preset(name)
+    meta = run_scenario(s, tmp_path)["meta"]
+    phases = meta["phases_s"]
+    assert set(phases) == PHASES
+    assert all(v >= 0.0 for v in phases.values())
+    assert all(phases[k] == 0.0 for k in skipped)
+    assert sum(phases.values()) <= meta["wall_s"]
+
+
 def _strip_meta(report):
     return {k: v for k, v in report.items() if k != "meta"}
 

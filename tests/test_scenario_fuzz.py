@@ -206,6 +206,9 @@ def corrupted(draw):
     """A base scenario with one to three corruptions, each either a required
     key deleted or a value replaced by one that is wrong at its place."""
     raw = json.loads(json.dumps(draw(st.sampled_from(BASES))))
+    # a node keeps its base kind: replacing an object by a list and then that
+    # list by a number could otherwise restore a valid value
+    kinds = {path: _kind(path, value) for path, value in _nodes(raw)}
     for _ in range(draw(st.integers(1, 3))):
         path, value = draw(st.sampled_from(list(_nodes(raw))))
         parent = raw
@@ -215,7 +218,7 @@ def corrupted(draw):
         if deletable and draw(st.booleans()):
             del parent[path[-1]]
             continue
-        bad = BAD_FOR[_kind(path, value)]
+        bad = BAD_FOR[kinds.get(path) or _kind(path, value)]
         if path == ("hypothesis",):   # null means "no hypothesis"
             bad = bad.filter(lambda v: v is not None)
         parent[path[-1]] = draw(bad)

@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import mesh, random_step
-from shocklab import errors
+from conftest import lipschitz, mesh, random_step
+from shocklab import errors, tracking
 from shocklab.flux import make_flux
 from shocklab.singleshock import run_until_single_front
 from shocklab.step import constant, everywhere_leq, l1_distance, step
@@ -186,7 +186,7 @@ def test_l1_contraction(rng):
         u0 = random_step(rng, 5, -1.0, 1.0)
         v0 = random_step(rng, 4, -1.0, 1.0)
         su, sv = init_state(fl, u0), init_state(fl, v0)
-        m = fl.lipschitz(min(u0.lo, v0.lo), max(u0.hi, v0.hi))
+        m = lipschitz(fl, min(u0.lo, v0.lo), max(u0.hi, v0.hi))
         a, b = -4.0, 4.0
         base = l1_distance(u0, v0, a - m * 5.0, b + m * 5.0)
         for t in (1.0, 5.0):
@@ -244,10 +244,10 @@ def test_front_count_bound(rng):
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
-def test_event_overflow_guard():
+def test_event_overflow_guard(monkeypatch):
     fl = burgers(0.5)
     s = init_state(fl, step([1.0, 0.2, 0.0], [0.0, 1.0]))
-    s.max_events = 0
+    monkeypatch.setattr(tracking, "MAX_EVENTS", 0)
     with pytest.raises(errors.EventOverflow):
         advance(s, 10.0)
 
