@@ -12,10 +12,7 @@ from .flux import (
     Flux,
     TripletClass,
     approximate_pw_affine,
-    chord_slope_check,
     classify_triplet,
-    convex_modify,
-    convex_modify_onesided,
     eval_chord,
     eval_tangent,
     hull,
@@ -44,8 +41,8 @@ from .scenario import Scenario, load_scenario, preset, run_scenario
 
 __all__ = [
     "ShockLabError", "AnalyticFluxSpec", "Flux", "TripletClass",
-    "approximate_pw_affine", "chord_slope_check", "classify_triplet", "convex_modify",
-    "convex_modify_onesided", "eval_chord", "eval_tangent", "hull", "make_flux",
+    "approximate_pw_affine", "classify_triplet", "eval_chord", "eval_tangent", "hull",
+    "make_flux",
     "DualFlux", "bidual", "legendre_dual", "Front",
     "oleinik_condition_e", "solve_riemann", "StepFunction", "EmergenceReport",
     "SimState", "advance", "events", "init_state", "run_until_single_front", "CharData",

@@ -49,9 +49,8 @@ def r_curve(
     for t in times:
         _check_time(t)
     t = np.array(times)
-    dual = legendre_dual(fl)
-    p0 = dual.slope_bound
-    objective = _Objective(dual, u0)
+    objective = _Objective(fl, u0)
+    p0 = objective.dual.slope_bound
     tol_a = 1e-12 * (1.0 + abs(alpha))
     if side == "plus":
         # predicate: y_plus(x, t) <= alpha, true near lo, false near hi

@@ -31,14 +31,6 @@ class COutOfRange(ShockLabError):
     pass
 
 
-class WrongTriplet(ShockLabError):
-    pass
-
-
-class ChordSlopeViolated(ShockLabError):
-    pass
-
-
 class EmptyInterval(ShockLabError):
     pass
 

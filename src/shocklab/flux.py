@@ -1,5 +1,5 @@
-"""Piecewise-affine flux functions: construction, chords, tangents, hulls,
-triplet classification and convex modification.
+"""Piecewise-affine flux functions: construction, chords, tangents, hulls
+and triplet classification.
 
 Every flux is stored exactly as breakpoints plus nodal values; evaluation is
 linear interpolation, so all downstream solvers work over a finite state
@@ -20,17 +20,14 @@ from typing import Callable, Sequence
 
 from .errors import (
     BoundaryPoint,
-    ChordSlopeViolated,
     COutOfRange,
     DegenerateChord,
     EmptyInterval,
     EmptyMesh,
     LengthMismatch,
     NonMonotoneBreakpoints,
-    NotConvex,
     StateOutOfRange,
     ValidationError,
-    WrongTriplet,
 )
 
 SLOPE_TOL = 1e-12  # absolute tolerance on slope comparisons
@@ -109,11 +106,6 @@ class Flux:
             return self.slopes[i - 1]
         return self.slopes[i]
 
-    def right_slope(self, x: float) -> float:
-        if x >= self.hi:
-            raise BoundaryPoint(f"no right slope at {x}")
-        return self.slopes[self._segment(x)]
-
     def nodes_in(self, a: float, b: float, closed: bool = True) -> list[float]:
         """Breakpoints inside [a, b] (or (a, b) when closed=False)."""
         bp = self.breakpoints
@@ -121,8 +113,8 @@ class Flux:
             return list(bp[bisect_left(bp, a):bisect_right(bp, b)])
         return list(bp[bisect_right(bp, a):bisect_left(bp, b)])
 
-    def is_convex(self, tol: float = SLOPE_TOL) -> bool:
-        return all(s2 >= s1 - tol for s1, s2 in zip(self.slopes, self.slopes[1:]))
+    def is_convex(self) -> bool:
+        return _monotone(self.slopes)[0]
 
     def to_json(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
@@ -270,12 +262,6 @@ def eval_chord(fl: Flux, a: float, b: float, theta: float) -> float:
     return fa + (fb - fa) / (b - a) * (theta - a)
 
 
-def chord_slope(fl: Flux, a: float, b: float) -> float:
-    if a == b:
-        raise DegenerateChord("chord endpoints coincide")
-    return (fl(a) - fl(b)) / (a - b)
-
-
 def eval_tangent(fl: Flux, a: float, theta: float) -> float:
     """Tangent-line value using the left slope at a."""
     if not fl.lo < a <= fl.hi:
@@ -283,7 +269,7 @@ def eval_tangent(fl: Flux, a: float, theta: float) -> float:
     return fl(a) + fl.left_slope(a) * (theta - a)
 
 
-def _monotone(slopes: list[float]) -> tuple[bool, bool]:
+def _monotone(slopes: Sequence[float]) -> tuple[bool, bool]:
     nondec = all(s2 >= s1 - SLOPE_TOL for s1, s2 in zip(slopes, slopes[1:]))
     noninc = all(s2 <= s1 + SLOPE_TOL for s1, s2 in zip(slopes, slopes[1:]))
     return nondec, noninc
@@ -302,114 +288,6 @@ def classify_triplet(fl: Flux, C: float, D: float) -> TripletClass:
     if left_cvx and right_ccv:
         return TripletClass.CONVEX_CONCAVE
     return TripletClass.NEITHER
-
-
-def chord_slope_check(fl: Flux, alpha: float, beta: float, C: float, D: float) -> bool:
-    """True iff f(C), f(D) lie strictly below the alpha-beta chord.
-
-    When the premise holds, f'(alpha-) < chord slope < f'(beta-) must follow
-    for a convex-convex triplet; a violation raises ChordSlopeViolated.
-    """
-    if classify_triplet(fl, C, D) is not TripletClass.CONVEX_CONVEX:
-        raise WrongTriplet("chord-slope comparison needs a convex-convex triplet")
-    if not (fl.lo <= alpha < C and D < beta <= fl.hi):
-        return False
-    line_c = eval_chord(fl, alpha, beta, C)
-    line_d = eval_chord(fl, alpha, beta, D)
-    ok = fl(C) < line_c and fl(D) < line_d
-    if ok:
-        m = chord_slope(fl, alpha, beta)
-        if not fl.left_slope(alpha) < m < fl.left_slope(beta):
-            raise ChordSlopeViolated("chord-slope consequence violated on the lattice")
-    return ok
-
-
-# ---------------------------------------------------------------------------
-# convex modification
-# ---------------------------------------------------------------------------
-
-Q_SUBDIVISIONS = 16
-
-
-def _convex_or_raise(out: Flux) -> Flux:
-    if not out.is_convex(tol=1e-9):
-        raise NotConvex("convex modification produced a non-convex result")
-    return out
-
-
-def convex_modify(fl: Flux, alpha: float, beta: float) -> Flux:
-    """Replace fl on (alpha, beta) by tangent / quadratic blend / tangent.
-
-    The blend Q is pinned by value and slope to both tangent lines; those four
-    conditions force x1 + x2 = 2d where d is the tangent intersection, so a
-    single symmetric choice of (x1, x2) covers every sign case.  Q is stored
-    as its piecewise-affine interpolant on a 16-piece grid, keeping the Flux
-    type closed under modification.
-    """
-    C = D = None
-    # recover a triplet certificate from the caller's interval
-    for i in range(len(fl.slopes) - 1):
-        if fl.slopes[i + 1] < fl.slopes[i] - SLOPE_TOL:
-            x = fl.breakpoints[i + 1]
-            C = x if C is None else C
-            D = x
-    if C is None:
-        C = D = 0.5 * (alpha + beta)  # already convex: any interior point works
-    if not (alpha < C and D < beta):
-        C, D = alpha + 0.25 * (beta - alpha), beta - 0.25 * (beta - alpha)
-    if not chord_slope_check(fl, alpha, beta, C, D):
-        raise ChordSlopeViolated(
-            f"f(C), f(D) not strictly below the chord over [{alpha}, {beta}]"
-        )
-
-    b1, b2 = fl.left_slope(alpha), fl.left_slope(beta)
-    fa, fb = fl(alpha), fl(beta)
-    d = (fa - alpha * b1 - fb + beta * b2) / (b2 - b1)
-    w = 0.5 * min(d - alpha, beta - d)
-    x1, x2 = d - w, d + w
-    a1 = fa + b1 * (x1 - alpha)
-
-    def q(x: float) -> float:
-        return (b2 - b1) / (2.0 * (x2 - x1)) * (x - x1) ** 2 + b1 * (x - x1) + a1
-
-    nodes = [x for x in fl.breakpoints if x <= alpha]
-    vals = [fl.values[i] for i, x in enumerate(fl.breakpoints) if x <= alpha]
-    if not nodes or nodes[-1] < alpha:
-        nodes.append(alpha)
-        vals.append(fa)
-    nodes.append(x1)
-    vals.append(a1)
-    hq = (x2 - x1) / Q_SUBDIVISIONS
-    for k in range(1, Q_SUBDIVISIONS + 1):
-        x = x1 + k * hq
-        nodes.append(x)
-        vals.append(q(x))
-    if beta not in fl.breakpoints:
-        nodes.append(beta)
-        vals.append(fb)
-    for i, x in enumerate(fl.breakpoints):
-        if x >= beta:
-            nodes.append(x)
-            vals.append(fl.values[i])
-    return _convex_or_raise(make_flux(nodes, vals))
-
-
-def convex_modify_onesided(fl: Flux, C: float) -> Flux:
-    """Replace fl right of C with the quadratic (p-C)^2 + f'(C-) (p-C) + f(C)."""
-    if not fl.lo < C < fl.hi:
-        raise COutOfRange(f"{C} not interior to working interval")
-    sC, fC = fl.left_slope(C), fl(C)
-
-    def q(p: float) -> float:
-        return (p - C) ** 2 + sC * (p - C) + fC
-
-    nodes = [x for x in fl.breakpoints if x < C] + [C]
-    vals = [fl(x) for x in nodes]
-    for x in fl.breakpoints:
-        if x > C:
-            nodes.append(x)
-            vals.append(q(x))
-    return _convex_or_raise(make_flux(nodes, vals))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveTime, ValidationError
+from .errors import NonPositiveTime, StateOutOfRange, ValidationError, WindowExceeded
 from .flux import Flux
 from .legendre import DualFlux, legendre_dual
 from .step import StepFunction
@@ -102,9 +102,16 @@ def _ties(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Objective:
     """The objective v0(y) + t f*((x-y)/t) of one flux and one data, built
     once and evaluated on a matrix: one row per query (x, t), one column per
-    candidate foot y."""
+    candidate foot y.  Data values outside the flux's working interval are
+    refused here, as ``init_state`` refuses them."""
 
-    def __init__(self, dual: DualFlux, u0: StepFunction):
+    def __init__(self, fl: Flux, u0: StepFunction):
+        for v in u0.values:
+            if not fl.contains(v):
+                raise StateOutOfRange(
+                    f"data value {v} outside working interval [{fl.lo}, {fl.hi}]"
+                )
+        self.dual = dual = legendre_dual(fl)
         self.lo, self.hi = dual.lo, dual.hi
         self._bp = np.asarray(dual.breakpoints)
         self._dv = np.asarray(dual.values)
@@ -158,7 +165,10 @@ def value_function(fl: Flux, u0: StepFunction, x: float, t: float) -> CharData:
     """Exact global minimum of v0(y) + t f*((x-y)/t) with its minimizer set."""
     _check_time(t)
     _check_finite("x", x)
-    objective = _Objective(legendre_dual(fl), u0)
+    objective = _Objective(fl, u0)
+    # the window's ends y_lo, y_hi, as candidates computes them
+    if not (math.isfinite(x - t * objective.hi) and math.isfinite(x - t * objective.lo)):
+        raise WindowExceeded(f"candidate window of x={x}, t={t} overflows")
     xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
     ys, valid = objective.candidates(xs, ts)
     # distinct candidates in increasing order; of +0.0 and -0.0 the first listed

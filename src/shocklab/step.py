@@ -58,9 +58,6 @@ class StepFunction:
             out += abs(Fraction(b) - Fraction(a))
         return out
 
-    def translate(self, dx: float) -> "StepFunction":
-        return StepFunction(tuple(x + dx for x in self.positions), self.values)
-
     def to_json(self) -> dict:
         return {"positions": list(self.positions), "values": list(self.values)}
 

@@ -2,40 +2,18 @@
 inputs end with exit code 2 instead of a traceback."""
 
 import json
-import math
 
 import pytest
 
-from conftest import mesh
-from shocklab import errors, flux, singleshock
+from shocklab import errors, singleshock
+from shocklab.characteristics import r_curve
 from shocklab.cli import _load_step
 from shocklab.cli import main as cli_main
+from shocklab.flux import make_flux
+from shocklab.laxoleinik import solve_pointwise, value_function
 from shocklab.scenario import emit_scenario, preset
-from shocklab.step import step
+from shocklab.step import constant, step
 from shocklab.singleshock import EmergenceReport
-
-
-def double_well():
-    c = math.sqrt(2.0 / 3.0)
-    return mesh("double_well", -3, 3, 0.05, corners=(-2.0, -c, 0.0, c, 2.0))
-
-
-def test_chord_slope_consequence_raises(monkeypatch):
-    c = math.sqrt(2.0 / 3.0)
-    monkeypatch.setattr(flux, "chord_slope", lambda fl, a, b: math.inf)
-    with pytest.raises(errors.ChordSlopeViolated):
-        flux.chord_slope_check(double_well(), -2.0, 2.0, -c, c)
-
-
-@pytest.mark.parametrize(
-    "modify", [lambda fl: flux.convex_modify(fl, -2.0, 2.0),
-               lambda fl: flux.convex_modify_onesided(fl, 0.0)],
-    ids=["convex_modify", "convex_modify_onesided"],
-)
-def test_convex_modification_check_raises(monkeypatch, modify):
-    monkeypatch.setattr(flux.Flux, "is_convex", lambda self, tol=0.0: False)
-    with pytest.raises(errors.NotConvex):
-        modify(double_well())
 
 
 def _fake_bound(monkeypatch, t_tilde):
@@ -157,6 +135,8 @@ BAD_QUERIES = {
     "laxoleinik_nan_time": ["laxoleinik", "--x", "0", "--t", "nan"],
     "laxoleinik_zero_time": ["laxoleinik", "--x", "0", "--t", "0"],
     "laxoleinik_inf_position": ["laxoleinik", "--x", "inf", "--t", "1"],
+    # x - t p overflows: the candidate window is not finite
+    "laxoleinik_overflowing_window": ["laxoleinik", "--x", "1e308", "--t", "1e308"],
 }
 
 
@@ -167,6 +147,32 @@ def test_cli_bad_query_exits_2(tmp_path, capsys, case):
     assert cli_main(BAD_QUERIES[case] + files) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# constant data 5 on a flux over [-2, 2]: f'(5) does not exist, so the
+# variational layer refuses the data as init_state does
+OUTSIDE = {
+    "value_function": lambda fl, u0: value_function(fl, u0, 0.0, 1.0),
+    "solve_pointwise": lambda fl, u0: solve_pointwise(fl, u0, 0.0, 1.0),
+    "r_curve": lambda fl, u0: r_curve(fl, u0, 0.0, "plus", [1.0]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OUTSIDE))
+def test_variational_data_outside_flux_raises(call):
+    fl = make_flux([-2, 0, 2], [2, 0, 2])
+    with pytest.raises(errors.StateOutOfRange):
+        OUTSIDE[call](fl, constant(5.0))
+
+
+@pytest.mark.parametrize("query", [["laxoleinik", "--x", "0", "--t", "1"],
+                                   ["rcurve", "--alpha", "0", "--t", "1"]],
+                         ids=["laxoleinik", "rcurve"])
+def test_cli_data_outside_flux_exits_2(tmp_path, capsys, query):
+    files = ["--flux", _write(tmp_path, "f.json", FLUX_JSON),
+             "--data", _write(tmp_path, "d.json", '{"positions": [], "values": [5.0]}')]
+    assert cli_main(query + files) == 2
+    assert "outside working interval" in capsys.readouterr().err
 
 
 def test_cli_solve_text_snapshot_option_exits_2(tmp_path, capsys):

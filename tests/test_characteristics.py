@@ -42,7 +42,7 @@ def test_rarefaction_edges():
 def test_constant_data_transport():
     fl = burgers()
     c = 0.42
-    s = fl.right_slope(c)  # c interior to a segment: unique characteristic slope
+    s = fl.left_slope(c)  # c interior to a segment: unique characteristic slope
     for side in ("plus", "minus"):
         curve = r_curve(fl, constant(c), 1.3, side, [0.5, 1.0, 3.0])
         for t, x in curve:
@@ -130,7 +130,7 @@ def test_data_ordering(rng):
 def test_characteristic_line_constant_data():
     fl = burgers()
     c = 0.42
-    assert is_characteristic_line(fl, constant(c), -0.7, fl.right_slope(c), 5.0)
+    assert is_characteristic_line(fl, constant(c), -0.7, fl.left_slope(c), 5.0)
 
 
 def test_characteristic_line_absorbed_by_shock():

@@ -4,8 +4,16 @@ When the data lives in the two outer families (at or below alpha, at or above
 beta) and the chord over [alpha, beta] clears the non-convex well, every
 family-crossing jump resolves as a single front whose speed only involves
 flux values outside (alpha, beta).  Evolution under the original flux must
-therefore coincide with evolution under its convex modification, and the
-latter is independently computable by the variational solver.
+therefore coincide with evolution under any convex modification: a convex
+flux that agrees with f outside (alpha, beta).  The latter is independently
+computable by the variational solver.
+
+The lower convex envelope of f over its working interval serves as the
+modification.  It is convex by construction, and for the double well
+u^4/4 - u^2 with alpha = -2, beta = 2 it agrees with f outside (-2, 2): the
+envelope only replaces f between the two minima +-sqrt(2), where the
+bitangent y = -1 touches, and f is convex beyond them.  The test asserts both
+premises on the stored lattice rather than relying on this argument.
 """
 
 import math
@@ -13,7 +21,7 @@ import math
 import numpy as np
 
 from conftest import mesh
-from shocklab.flux import convex_modify
+from shocklab.flux import hull
 from shocklab.laxoleinik import solve_pointwise
 from shocklab.step import l1_distance, step
 from shocklab.tracking import advance, init_state
@@ -23,8 +31,10 @@ SQ23 = math.sqrt(2.0 / 3.0)
 
 def test_tracking_agrees_across_convex_modification():
     fl = mesh("double_well", -3.0, 3.0, 0.05, corners=(-2.0, -SQ23, 0.0, SQ23, 2.0))
-    mod = convex_modify(fl, -2.0, 2.0)
+    mod = hull(fl, fl.lo, fl.hi, "lower")
     assert mod.is_convex()
+    outside = [x for x in fl.breakpoints if not -2.0 < x < 2.0]
+    assert all(mod(x) == fl(x) for x in outside)
     rng = np.random.default_rng(42)
     for _ in range(12):
         lows = rng.uniform(-2.6, -2.0, 5)

@@ -8,10 +8,7 @@ from shocklab.flux import (
     AnalyticFluxSpec,
     TripletClass,
     approximate_pw_affine,
-    chord_slope_check,
     classify_triplet,
-    convex_modify,
-    convex_modify_onesided,
     eval_chord,
     eval_tangent,
     hull,
@@ -146,63 +143,6 @@ def test_classify_out_of_range():
         classify_triplet(V_FLUX, -5.0, 0.0)
 
 
-def test_chord_slope_check_double_well():
-    fl = double_well_mesh()
-    c = math.sqrt(2.0 / 3.0)
-    assert chord_slope_check(fl, -2.0, 2.0, -c, c) is True
-    # premise shape violated: alpha not left of C
-    assert chord_slope_check(fl, -0.5, 0.5, -c, c) is False
-
-
-def test_chord_slope_check_burgers_trivial():
-    fl = burgers_mesh()
-    assert chord_slope_check(fl, -1.0, 1.0, 0.0, 0.0) is True
-
-
-def test_chord_slope_check_wrong_triplet():
-    fl = neg_cubic_mesh()
-    with pytest.raises(errors.WrongTriplet):
-        chord_slope_check(fl, -2.0, 2.5, 0.0, 0.0)
-
-
-def test_convex_modify_double_well_case_b1_plus_b2_zero():
-    fl = double_well_mesh(h=0.005)
-    out = convex_modify(fl, -2.0, 2.0)
-    # exact construction has x1=-1, x2=1, Q(x) = 2x^2 - 6; the mesh version
-    # carries O(h) tangent-slope error
-    assert out(-1.0) == pytest.approx(-4.0, abs=0.05)
-    assert out(1.0) == pytest.approx(-4.0, abs=0.05)
-    assert out(0.0) == pytest.approx(-6.0, abs=0.05)
-    assert out.is_convex(tol=1e-9)
-    # untouched outside (alpha, beta)
-    for x in (-2.5, -2.0, 2.0, 2.5):
-        assert out(x) == fl(x)
-
-
-def test_convex_modify_convex_flux_stays_below():
-    fl = burgers_mesh(h=0.002)
-    out = convex_modify(fl, -1.0, 1.0)
-    xs = np.linspace(-1.5, 1.5, 101)
-    assert all(out(x) <= fl(x) + 1e-12 for x in xs)
-    for x in (-1.5, 1.5):
-        assert out(x) == fl(x)
-
-
-def test_convex_modify_rejects_chord_violation():
-    # f(C) sits above the chord over [-1, 1], so the premise fails
-    with pytest.raises(errors.ChordSlopeViolated):
-        convex_modify(double_well_mesh(), -1.0, 1.0)
-
-
-def test_convex_modify_onesided_neg_cubic():
-    fl = neg_cubic_mesh(h=0.005)
-    out = convex_modify_onesided(fl, 0.0)
-    for p in (0.5, 1.0, 2.0):
-        assert out(p) == pytest.approx(p * p, abs=0.02)
-    for p in (-2.0, -1.0, -0.3):
-        assert out(p) == pytest.approx(fl(p), abs=1e-12)
-
-
 def test_hull_double_well_upper_chord():
     fl = double_well_mesh()
     h = hull(fl, 0.0, 2.0, "upper")
@@ -259,19 +199,12 @@ def test_hull_idempotent_and_extremal():
             )
 
 
-def test_convex_modify_slope_monotonicity_invariant():
-    fl = double_well_mesh(h=0.02)
-    out = convex_modify(fl, -2.2, 2.2)
-    assert all(s2 >= s1 - 1e-9 for s1, s2 in zip(out.slopes, out.slopes[1:]))
-    for x in fl.breakpoints:
-        if not -2.2 < x < 2.2:
-            assert out(x) == fl(x)
-
-
 def test_chord_slope_consequence_on_lattice():
     # whenever the premise holds the derivative sandwich must follow
     fl = double_well_mesh()
-    assert chord_slope_check(fl, -2.0, 2.0, -math.sqrt(2 / 3), math.sqrt(2 / 3))
+    # premise: f(C), f(D) lie strictly below the chord over [alpha, beta]
+    for c in (-math.sqrt(2 / 3), math.sqrt(2 / 3)):
+        assert fl(c) < eval_chord(fl, -2.0, 2.0, c)
     m = (fl(-2.0) - fl(2.0)) / (-4.0)
     assert fl.left_slope(-2.0) < m < fl.left_slope(2.0)
 

@@ -90,8 +90,3 @@ def test_assemble_merges_equal_neighbors():
     u0 = assemble_initial_data(0.0, 1.0, constant(1.0), constant(1.0), constant(0.0))
     assert u0.positions == (1.0,)
     assert u0.values == (1.0, 0.0)
-
-
-def test_translate():
-    u = step([0.0, 1.0], [0.5])
-    assert u.translate(2.0).positions == (2.5,)
