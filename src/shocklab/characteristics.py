@@ -51,6 +51,10 @@ def r_curve(
     t = np.array(times)
     objective = _Objective(fl, u0)
     p0 = objective.dual.slope_bound
+    # every queried window lies between those of the widest bracket's ends, the last time's
+    t_end = max(times, default=0.0)
+    for x in (alpha - p0 * t_end - 1.0, alpha + p0 * t_end + 1.0):
+        objective.window(x, t_end)
     tol_a = 1e-12 * (1.0 + abs(alpha))
     if side == "plus":
         # predicate: y_plus(x, t) <= alpha, true near lo, false near hi

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from .errors import ParseError, ShockLabError
 from .flux import make_flux
@@ -19,30 +18,22 @@ from .laxoleinik import value_function
 from .legendre import legendre_dual
 from .characteristics import r_curve
 from .riemann import solve_riemann
-from .scenario import PRESETS, _numbers, load_scenario, preset, run_batch, run_scenario
+from .scenario import (
+    PRESETS, _field, _numbers, load_scenario, preset, read_json, run_batch, run_scenario,
+)
 from .singleshock import certify, check_main_conditions, run_until_single_front
 from .step import StepFunction, step
 from .tracking import init_state
 
 
-def _read_fields(path: str, *keys: str) -> list:
-    """The named fields of a JSON object file; any read failure is a ParseError."""
-    try:
-        raw = json.loads(Path(path).read_text())
-        return [raw[k] for k in keys]
-    # ValueError: bad UTF-8, bad JSON, over-long integers
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise ParseError(f"{path}: {type(e).__name__}: {e}")
-
-
 def _load_flux(path: str):
-    breakpoints, values = _read_fields(path, "breakpoints", "values")
-    return make_flux(_numbers(breakpoints, "breakpoints"), _numbers(values, "values"))
+    raw = read_json(path)
+    return make_flux(*(_numbers(_field(raw, k, path), k) for k in ("breakpoints", "values")))
 
 
 def _load_step(path: str) -> StepFunction:
-    positions, values = _read_fields(path, "positions", "values")
-    return step(_numbers(values, "values"), _numbers(positions, "positions"))
+    raw = read_json(path)
+    return step(*(_numbers(_field(raw, k, path), k) for k in ("values", "positions")))
 
 
 def _scenario_from_args(args) -> object:

@@ -119,6 +119,13 @@ class _Objective:
         self._jumps = np.asarray(u0.positions, dtype=float)
         self._v0 = _Primitive(u0)
 
+    def window(self, x: float, t: float) -> None:
+        """Refuse the query (x, t) when its candidate window [x - t hi,
+        x - t lo] is not finite, before any matrix arithmetic overflows."""
+        y_lo, y_hi = x - t * self.hi, x - t * self.lo
+        if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
+            raise WindowExceeded(f"candidate window [{y_lo}, {y_hi}] at t={t} overflows")
+
     def candidates(self, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Columns y_lo, y_hi, the data jumps, then x - t p for the interior
         dual breakpoints; the mask drops the jumps outside (y_lo, y_hi)."""
@@ -166,9 +173,7 @@ def value_function(fl: Flux, u0: StepFunction, x: float, t: float) -> CharData:
     _check_time(t)
     _check_finite("x", x)
     objective = _Objective(fl, u0)
-    # the window's ends y_lo, y_hi, as candidates computes them
-    if not (math.isfinite(x - t * objective.hi) and math.isfinite(x - t * objective.lo)):
-        raise WindowExceeded(f"candidate window of x={x}, t={t} overflows")
+    objective.window(x, t)
     xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
     ys, valid = objective.candidates(xs, ts)
     # distinct candidates in increasing order; of +0.0 and -0.0 the first listed

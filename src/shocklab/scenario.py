@@ -189,15 +189,20 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     return Scenario(_field(raw, "name", "scenario", name), fl, A, B, u_minus, u_plus, ubar, hp, t_max, snapshots)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at path; a ParseError when the file cannot
+    be read or decoded, or holds anything but an object."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:   # ValueError: bad UTF-8, bad JSON, over-long integers
         raise ParseError(f"{path}: {e}")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    return scenario_from_dict(raw, name=path.stem)
+    return raw
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(read_json(path), name=Path(path).stem)
 
 
 def emit_scenario(s: Scenario) -> dict:
@@ -271,29 +276,25 @@ PRESETS = {
     },
     "counterexample_2": {
         "data": {"A": 0.0, "B": 1.0, "u_minus": -1.5, "u_plus": 2.0, "ubar": -1.0},
-        # -1.0 + eta for the default eta = 0.1 of _counterexample_2_flux
+        # a1 = -0.9, the right end of the bridging segment of _counterexample_2_flux
         "hypothesis": {"a1": -0.9, "a2": -0.9, "C": 0.0, "D": 0.0, "b2": 2.0, "b1": 2.0},
         "run": {"t_max": 100.0, "snapshots": [0.0, 25.0, 50.0, 100.0]},
     },
 }
 
 
-def _counterexample_2_flux(eta: float = 0.1) -> Flux:
-    """neg_cubic mesh with the nodes inside (-1-eta, -1+eta) removed.
+def _counterexample_2_flux() -> Flux:
+    """neg_cubic mesh with the nodes inside (-1.1, -0.9) removed.
 
     The bridging segment is meant to lie on the chord from its right end a1 to
     (2, f(2)).  It does not on the lattice: in exact arithmetic over the stored
     nodes, f(2) lies 1.60e-15 above the a1 tangent (ROADMAP item 2).
     """
     spec = AnalyticFluxSpec(
-        "neg_cubic", -3.0, 3.0, 0.05, corners=(-1.5, -1.0 - eta, -1.0 + eta, 0.0, 2.0)
+        "neg_cubic", -3.0, 3.0, 0.05, corners=(-1.5, -1.1, -0.9, 0.0, 2.0)
     )
     base = approximate_pw_affine(spec)
-    keep = [
-        (x, v)
-        for x, v in zip(base.breakpoints, base.values)
-        if not (-1.0 - eta < x < -1.0 + eta)
-    ]
+    keep = [(x, v) for x, v in zip(base.breakpoints, base.values) if not -1.1 < x < -0.9]
     return make_flux([x for x, _ in keep], [v for _, v in keep])
 
 
@@ -354,7 +355,7 @@ def _write_logs(state: SimState, out: Path, name: str) -> None:
         tb.write("front_id,t,x\n")
         for f in fronts[:n - sum(len(rec.outgoing) for rec in log)]:   # the initial fronts
             te = ends[f.fid]
-            tb.write(f"{f.fid},{f.t0!r},{f.x0!r}\n{f.fid},{te!r},{f.x0 + f.speed * (te - f.t0)!r}\n")
+            tb.write(f"{f.fid},{f.t0!r},{f.x0!r}\n{f.fid},{te!r},{f.pos(te)!r}\n")
         for rec in log:
             t, x = _num(rec.t), _num(rec.x)
             dead = ", ".join([packed.pop(f.fid, None) or pack(f) for f in rec.incoming])
@@ -363,7 +364,7 @@ def _write_logs(state: SimState, out: Path, name: str) -> None:
                 packed[f.fid] = p = pack(f)
                 born.append(p)
                 te = ends[f.fid]
-                tb.write(f"{f.fid},{t},{x}\n{f.fid},{te!r},{f.x0 + f.speed * (te - f.t0)!r}\n")
+                tb.write(f"{f.fid},{t},{x}\n{f.fid},{te!r},{f.pos(te)!r}\n")
             ev.write(f'{{"in": [{dead}], "out": [{", ".join(born)}], "t": {t}, "x": {x}}}\n')
 
 

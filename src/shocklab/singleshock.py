@@ -486,14 +486,14 @@ def certify(
     u_minus: StepFunction,
     ubar: StepFunction,
     u_plus: StepFunction,
-    t_max: float | None = None,
+    t_max: float,
     verdict: ConditionVerdict | None = None,
     state: SimState | None = None,
 ) -> EmergenceReport:
     """Run the emergence check for a configuration with satisfied conditions.
 
     Raises HypothesisNotChecked when the conditions are violated; otherwise
-    simulates to t_max (default 100 |A - B|), detects persistent separation,
+    simulates to the horizon t_max, detects persistent separation,
     and attaches the empirical gamma plus the finite analytic bound when the
     chord-speed gap is positive.  ``state`` is the fresh SimState of the
     assembled data to run; one is built when none is passed.
@@ -513,11 +513,9 @@ def certify(
             raise ValidationError("u_plus", f"value {v} outside {right_range}")
 
     u0 = assemble_initial_data(A, B, u_minus, ubar, u_plus)
-    span = abs(B - A)
-    horizon = 100.0 * span if t_max is None else t_max
     if state is None:
         state = init_state(fl, u0)
-    report = run_until_single_front(state, left_range, right_range, horizon)
+    report = run_until_single_front(state, left_range, right_range, t_max)
 
     if verdict.kind is VerdictKind.SATISFIED_II1:
         # the chord-speed induction requires the middle data to stay inside
@@ -537,10 +535,9 @@ def certify(
                 raise BoundViolated(
                     f"measured T0={report.t0} exceeds the analytic bound {t_tilde}"
                 )
-        elif not horizon < t_tilde:
-            raise BoundViolated(f"no emergence by t={horizon} despite bound {t_tilde}")
+        elif not t_max < t_tilde:
+            raise BoundViolated(f"no emergence by t={t_max} despite bound {t_tilde}")
 
-    gamma = None
-    if report.emerged and span > 0:
-        gamma = report.t0 / span
+    span = abs(B - A)
+    gamma = report.t0 / span if report.emerged and span > 0 else None
     return replace(report, gamma=gamma, t_tilde=t_tilde)

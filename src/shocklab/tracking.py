@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .errors import EventOverflow, StateOutOfRange, ValidationError
 from .flux import Flux
-from .riemann import Front, solve_riemann
+from .riemann import solve_riemann
 from .step import StepFunction, step
 
 PARALLEL_TOL = 1e-14      # speed differences below this never collide
@@ -79,19 +79,27 @@ class EventRecord:
 class SimState:
     """Single-owner mutable simulation state."""
 
-    def __init__(self, flux: Flux, fronts: list[_LiveFront], constant_value: float, fans: dict):
+    head: _LiveFront | None = None   # read by __del__, also after a failed check
+
+    def __init__(self, flux: Flux, u0: StepFunction):
+        """Replace each jump of u0 by its Riemann fan and prime the event queue."""
+        for v in u0.values:
+            if not flux.contains(v):
+                raise StateOutOfRange(f"data value {v} outside working interval")
         self.flux = flux
         self.t = 0.0
-        self.head: _LiveFront | None = fronts[0] if fronts else None
         self.event_log: list[EventRecord] = []
         self.eps_x = 1e-9 * (flux.hi - flux.lo)
         self._heap: list[tuple[float, float, int, _LiveFront, _LiveFront]] = []
         self._seq = itertools.count()
-        self._fans = fans
-        self._fid = itertools.count(len(fronts))
-        self._constant_value = constant_value
+        self._fans: dict = {}
+        self._fid = itertools.count()
+        self._constant_value = u0.values[0]
         # requested snapshot time -> profile there, filled in by events()
         self.snapshots: dict[float, StepFunction | None] = {}
+        fronts = [f for i, x in enumerate(u0.positions)
+                  for f in self._born(u0.values[i], u0.values[i + 1], x, 0.0)]
+        self.head = fronts[0] if fronts else None
         for a, b in zip(fronts, fronts[1:]):
             a.next, b.prev = b, a
             self._schedule(a, b)
@@ -117,6 +125,20 @@ class SimState:
             out.append(f)
             f = f.next
         return out
+
+    def _born(self, l: float, r: float, x: float, t: float) -> tuple[_LiveFront, ...]:
+        """Tracked fronts of the Riemann fan of (l, r), born at (x, t).
+
+        Fans are pure functions of the two lattice states, so they are
+        memoized per pair: one solve serves every later jump or collision
+        with the same outer states.
+        """
+        # 0.0 == -0.0, but a fan echoes the sign of its outer states
+        key = (l, r) if l and r else (l, r, math.copysign(1.0, l), math.copysign(1.0, r))
+        fan = self._fans.get(key)
+        if fan is None:
+            fan = self._fans[key] = solve_riemann(self.flux, l, r)
+        return tuple([_LiveFront(next(self._fid), x, t, w.speed, w.left, w.right) for w in fan])
 
     # -- scheduling --------------------------------------------------------
 
@@ -163,13 +185,11 @@ class SimState:
         self.t = t_hit
         block = self._group(t_hit, x_hit, a, b)
         before, after = block[0].prev, block[-1].next
-        fan = _fan(self._fans, self.flux, block[0].left, block[-1].right)
+        born = self._born(block[0].left, block[-1].right, x_hit, t_hit)
         for f in block:
             # unlinked, a dead front holds no reference cycle, so a finished
             # state is freed by reference counting, not the cycle collector
             f.prev = f.next = None
-        born = tuple(_LiveFront(next(self._fid), x_hit, t_hit, w.speed, w.left, w.right)
-                     for w in fan)
         # splice the born fronts between before and after
         left = before
         for f in born:
@@ -189,14 +209,12 @@ class SimState:
             self._constant_value = block[0].left
         rec = EventRecord(t_hit, x_hit, tuple(block), born)
         self.event_log.append(rec)
-        # new adjacencies: block edges only (fan speeds increase, so no inner events)
-        if born:
-            if before is not None:
-                self._schedule(before, before.next)
-            if after is not None:
-                self._schedule(after.prev, after)
-        elif before is not None and after is not None:
-            self._schedule(before, after)
+        # new adjacencies: block edges only (fan speeds increase, so no inner
+        # events); with nothing born, before and after are the one new pair
+        if before is not None and before.next is not None:
+            self._schedule(before, before.next)
+        if born and after is not None:
+            self._schedule(after.prev, after)
         return rec
 
     # -- queries -----------------------------------------------------------
@@ -242,32 +260,9 @@ class SimState:
         return [(f.pos(t), f.speed, f.left, f.right) for f in self.fronts]
 
 
-def _fan(fans: dict, fl: Flux, l: float, r: float) -> tuple[Front, ...]:
-    """Fronts of the Riemann fan of (l, r) from the memo ``fans``, solved on a miss.
-
-    Fans are pure functions of the two lattice states, so one solve per pair
-    serves every later collision with the same outer states.
-    """
-    # 0.0 == -0.0, but a fan echoes the sign of its outer states
-    key = (l, r) if l and r else (l, r, math.copysign(1.0, l), math.copysign(1.0, r))
-    fan = fans.get(key)
-    if fan is None:
-        fan = fans[key] = solve_riemann(fl, l, r)
-    return fan
-
-
 def init_state(fl: Flux, u0: StepFunction) -> SimState:
     """Replace each initial jump by its Riemann fan and prime the event queue."""
-    for v in u0.values:
-        if not fl.contains(v):
-            raise StateOutOfRange(f"data value {v} outside working interval")
-    fans: dict = {}
-    fronts: list[_LiveFront] = []
-    fid = itertools.count()
-    for i, x in enumerate(u0.positions):
-        for f in _fan(fans, fl, u0.values[i], u0.values[i + 1]):
-            fronts.append(_LiveFront(next(fid), x, 0.0, f.speed, f.left, f.right))
-    return SimState(fl, fronts, u0.values[0], fans)
+    return SimState(fl, u0)
 
 
 def events(s: SimState, t_until: float) -> Iterator[EventRecord]:

@@ -149,6 +149,25 @@ def test_cli_bad_query_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# numpy's overflow warnings become errors: the window is refused before any
+# array arithmetic on it
+@pytest.mark.filterwarnings("error")
+def test_r_curve_refuses_an_overflowing_window():
+    fl = make_flux([-2, 0, 2], [2, 0, 2])
+    with pytest.raises(errors.WindowExceeded, match="candidate window") as exc:
+        r_curve(fl, step([1.0, 0.0], [0.0]), 0.0, "plus", [1.0, 1e308])
+    assert "x=" not in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_rcurve_overflowing_window_prints_only_the_error(tmp_path, capsys):
+    files = ["--flux", _write(tmp_path, "f.json", FLUX_JSON),
+             "--data", _write(tmp_path, "d.json", DATA_JSON)]
+    assert cli_main(["rcurve", "--alpha", "0", "--t", "1e308"] + files) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: candidate window") and err.count("\n") == 1
+
+
 # constant data 5 on a flux over [-2, 2]: f'(5) does not exist, so the
 # variational layer refuses the data as init_state does
 OUTSIDE = {

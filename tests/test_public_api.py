@@ -2,12 +2,13 @@
 none is a module or a private helper, a star import gives exactly them, and
 each one has a job outside the tests."""
 
+import inspect
 import re
 import types
 from pathlib import Path
 
 import shocklab
-from shocklab import errors, flux, riemann
+from shocklab import cli, errors, flux, riemann, scenario, singleshock, tracking
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,6 +44,18 @@ def test_unused_convex_modification_api_is_gone():
         assert not hasattr(errors, gone) and not hasattr(shocklab, gone), gone
     assert not hasattr(shocklab.Flux, "right_slope")
     assert not hasattr(shocklab.StepFunction, "translate")
+
+
+def test_one_owner_per_decision():
+    # certify runs to the horizon its caller passes; the scenario owns the default
+    assert inspect.signature(singleshock.certify).parameters["t_max"].default is (
+        inspect.Parameter.empty)
+    # a state builds its own initial fronts, through the fan memo of its events
+    assert list(inspect.signature(tracking.SimState).parameters) == ["flux", "u0"]
+    assert not hasattr(tracking, "_fan")
+    assert not inspect.signature(scenario._counterexample_2_flux).parameters
+    # the CLI's flux and data files are read as scenario files are
+    assert not hasattr(cli, "_read_fields")
 
 
 def test_every_public_name_has_a_use():

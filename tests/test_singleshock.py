@@ -106,7 +106,7 @@ def test_conditions_double_well_satisfied_i():
 
 
 def test_counterexample_2_boundary_witness():
-    fl = _counterexample_2_flux(eta=0.1)
+    fl = _counterexample_2_flux()
     verdict = check_main_conditions(
         fl, HypothesisParams(-0.9, -0.9, 0.0, 0.0, 2.0, 2.0)
     )
@@ -146,7 +146,7 @@ def test_alpha0_neg_cubic_wide():
 
 
 def test_alpha0_exact_on_degenerate_lattice():
-    fl = _counterexample_2_flux(eta=0.1)
+    fl = _counterexample_2_flux()
     a0 = compute_alpha0(fl, 2.0, hi=0.0)
     assert a0 == pytest.approx(-1.0, abs=0.1)
     # residual of the tangent equation at the returned point
@@ -203,7 +203,7 @@ def test_certify_gates_on_violation():
     fl = double_well()
     hp = HypothesisParams(-2.0, -2.0, -SQ23, SQ23, 2.0, 2.0)
     with pytest.raises(errors.HypothesisNotChecked):
-        certify(fl, hp, 0.0, 1.0, constant(2.0), constant(0.0), constant(-2.0))
+        certify(fl, hp, 0.0, 1.0, constant(2.0), constant(0.0), constant(-2.0), t_max=100.0)
 
 
 def test_certify_burgers_decreasing_pair():
@@ -231,7 +231,7 @@ def test_certify_validates_data_ranges():
     fl = mesh("burgers", -3, 3, 0.05, corners=(0.0, 1.0))
     hp = HypothesisParams(0.0, 0.0, 0.25, 0.75, 1.0, 1.0)
     with pytest.raises(errors.ValidationError):
-        certify(fl, hp, 0.0, 1.0, constant(0.5), constant(0.2), constant(0.0))
+        certify(fl, hp, 0.0, 1.0, constant(0.5), constant(0.2), constant(0.0), t_max=100.0)
 
 
 def test_gamma_stability_across_data(rng):

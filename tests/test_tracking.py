@@ -70,6 +70,28 @@ def test_three_front_symmetric_merge():
     assert out.positions[0] == pytest.approx(2.5 + 2.5 * 1.0, abs=1e-12)
 
 
+def test_interior_annihilation_schedules_the_outer_neighbours():
+    # three fronts between two live neighbours meet near (1, 0) and leave no
+    # front; the neighbours, now adjacent, meet at t = 20 as a standing shock
+    fl = mesh("burgers", -3, 3, 0.05)
+    u0 = step([1.0, 0.0, 0.05, -0.05, 0.0, -1.0], [-10.0, -0.025, 0.0, 0.025, 10.0])
+    s = init_state(fl, u0)
+    first, second = events(s, 30.0)
+    assert first.t == pytest.approx(1.0) and first.x == pytest.approx(0.0, abs=1e-12)
+    assert [(f.left, f.right) for f in first.incoming] == [(0.0, 0.05), (0.05, -0.05), (-0.05, 0.0)]
+    assert first.outgoing == ()
+    assert second.t == pytest.approx(20.0) and second.x == pytest.approx(0.0, abs=1e-12)
+    assert [(f.left, f.right) for f in second.incoming] == [(1.0, 0.0), (0.0, -1.0)]
+    assert [(f.left, f.right, f.speed) for f in second.outgoing] == [(1.0, -1.0, 0.0)]
+    assert s.profile() == step([1.0, -1.0], [0.0])
+
+
+@pytest.mark.filterwarnings("error")   # also an exception raised in __del__
+def test_data_outside_the_working_interval_is_refused():
+    with pytest.raises(errors.StateOutOfRange):
+        init_state(burgers(), step([0.5, 4.0], [0.0]))
+
+
 def test_merge_example_positions():
     fl = mesh("burgers", -1, 3, 4.0, corners=(0.0, 1.0, 2.0))
     s = init_state(fl, step([2.0, 1.0, 0.0], [0.0, 1.0]))
