@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, WindowExceeded
+from .errors import ValidationError
 from .flux import Flux
 from .laxoleinik import _check_finite, _check_time, _Objective, _Primitive, value_function
 from .legendre import legendre_dual
@@ -69,7 +69,7 @@ def r_curve(
     outside = ~pred(lo, t) | pred(hi, t)
     if outside.any():
         k = int(outside.argmax())
-        raise WindowExceeded(f"bracket [{lo[k]}, {hi[k]}] does not straddle the curve")
+        raise ValidationError("t", f"bracket [{lo[k]}, {hi[k]}] does not straddle the curve")
     eps_x = 1e-10 * (1.0 + abs(alpha) + p0 * t)
     active = np.flatnonzero(hi - lo > eps_x)
     while active.size:

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import ParseError, ShockLabError
+from .errors import ShockLabError, ValidationError
 from .flux import make_flux
 from .laxoleinik import value_function
 from .legendre import legendre_dual
@@ -41,14 +41,14 @@ def _scenario_from_args(args) -> object:
         return preset(args.preset)
     if getattr(args, "scenario", None):
         return load_scenario(args.scenario)
-    raise ShockLabError("need --scenario PATH or --preset NAME")
+    raise ValidationError("--scenario", "need --scenario PATH or --preset NAME")
 
 
 def _floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise ParseError(f"expected comma-separated numbers, got {text!r}")
+        raise ValidationError("--t", f"expected comma-separated numbers, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -145,7 +145,7 @@ def _dispatch(args) -> int:
     if args.cmd in ("check", "certify"):
         s = _scenario_from_args(args)
         if s.hypothesis is None:
-            raise ShockLabError("scenario has no hypothesis block")
+            raise ValidationError("hypothesis", "scenario has no hypothesis block")
         verdict = check_main_conditions(s.flux, s.hypothesis)
         if args.cmd == "check" or not verdict.satisfied:
             out = verdict.to_json()
@@ -169,7 +169,7 @@ def _dispatch(args) -> int:
         run_batch(args.scenarios, args.out)
         return 0
 
-    raise ShockLabError(f"unknown command {args.cmd}")
+    raise ValidationError("command", f"unknown command {args.cmd}")
 
 
 if __name__ == "__main__":

@@ -13,22 +13,12 @@ from __future__ import annotations
 import inspect
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import (
-    BoundaryPoint,
-    COutOfRange,
-    DegenerateChord,
-    EmptyInterval,
-    EmptyMesh,
-    LengthMismatch,
-    NonMonotoneBreakpoints,
-    StateOutOfRange,
-    ValidationError,
-)
+from .errors import ValidationError
 
 SLOPE_TOL = 1e-12  # absolute tolerance on slope comparisons
 MAX_FLUX_NODES = 10**6   # grid nodes of one sampled analytic flux
@@ -36,11 +26,12 @@ MAX_FLUX_NODES = 10**6   # grid nodes of one sampled analytic flux
 
 @dataclass(frozen=True)
 class Flux:
-    """Continuous piecewise-affine function on a finite working interval."""
+    """Continuous piecewise-affine function on a finite working interval,
+    from float breakpoints already known to increase strictly; ``make_flux``
+    is the checked constructor."""
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    slopes: tuple[float, ...] = field(compare=False)
 
     @property
     def lo(self) -> float:
@@ -58,9 +49,16 @@ class Flux:
     def _segment(self, x: float) -> int:
         """Index i of a segment [b_i, b_{i+1}] containing x."""
         if not self.contains(x):
-            raise StateOutOfRange(f"{x} outside working interval [{self.lo}, {self.hi}]")
+            raise ValidationError("state", f"{x} outside working interval [{self.lo}, {self.hi}]")
         i = bisect_right(self.breakpoints, x) - 1
-        return min(max(i, 0), len(self.slopes) - 1)
+        return min(max(i, 0), len(self.breakpoints) - 2)
+
+    @cached_property
+    def slopes(self) -> tuple[float, ...]:
+        """Segment slopes, made on first use: a hull that the Riemann solver
+        reads only for its nodes never builds them."""
+        bp, vals = self.breakpoints, self.values
+        return tuple((vals[i + 1] - vals[i]) / (bp[i + 1] - bp[i]) for i in range(len(bp) - 1))
 
     @cached_property
     def _scale(self) -> float:
@@ -100,7 +98,7 @@ class Flux:
     def left_slope(self, x: float) -> float:
         """Slope of the segment ending at x (the left derivative)."""
         if x <= self.lo:
-            raise BoundaryPoint(f"no left slope at {x}")
+            raise ValidationError("state", f"no left slope at {x}")
         i = self._segment(x)
         if x == self.breakpoints[i] and i > 0:
             return self.slopes[i - 1]
@@ -121,31 +119,23 @@ class Flux:
 
 
 def make_flux(breakpoints: Sequence[float], values: Sequence[float]) -> Flux:
-    """Validated constructor; caches segment slopes."""
+    """Validated constructor."""
     bp = tuple(float(x) for x in breakpoints)
     vals = tuple(float(v) for v in values)
     if len(bp) != len(vals):
-        raise LengthMismatch(f"{len(bp)} breakpoints vs {len(vals)} values")
+        raise ValidationError("flux.values", f"{len(bp)} breakpoints vs {len(vals)} values")
     if len(bp) < 2:
-        raise LengthMismatch("need at least two breakpoints")
+        raise ValidationError("flux.breakpoints", "need at least two breakpoints")
     if any(b >= c for b, c in zip(bp, bp[1:])):
-        raise NonMonotoneBreakpoints("breakpoints must be strictly increasing")
-    out = _flux_unchecked(bp, vals)
+        raise ValidationError("flux.breakpoints", "breakpoints must be strictly increasing")
+    out = Flux(bp, vals)
     if any(not math.isfinite(s) for s in out.slopes):
-        raise NonMonotoneBreakpoints("segment slopes must be finite")
+        raise ValidationError("flux.breakpoints", "segment slopes must be finite")
     # hull's cross products reach (hi - lo) * 2 max|f| <= 4 _scale max|f|; keep them finite
     if not math.isfinite(4.0 * out._scale * (1.0 + max(map(abs, vals)))):
         raise ValidationError("flux.values", "values too large for finite hull arithmetic "
                               f"on [{bp[0]}, {bp[-1]}]")
     return out
-
-
-def _flux_unchecked(bp: tuple[float, ...], vals: tuple[float, ...]) -> Flux:
-    """Flux from float breakpoints already known to increase strictly."""
-    slopes = tuple(
-        (vals[i + 1] - vals[i]) / (bp[i + 1] - bp[i]) for i in range(len(bp) - 1)
-    )
-    return Flux(bp, vals, slopes)
 
 
 class TripletClass(Enum):
@@ -212,12 +202,12 @@ def approximate_pw_affine(spec: AnalyticFluxSpec) -> Flux:
     """Interpolate the analytic flux at a mesh-h grid plus the requested corners."""
     f = spec.evaluator()
     if spec.mesh <= 0:
-        raise EmptyMesh("mesh width must be positive")
+        raise ValidationError("flux.mesh", "mesh width must be positive")
     if spec.hi <= spec.lo:
-        raise EmptyMesh("empty working interval")
+        raise ValidationError("flux.hi", "empty working interval")
     for c in spec.corners:
         if not spec.lo <= c <= spec.hi:
-            raise StateOutOfRange(f"corner {c} outside [{spec.lo}, {spec.hi}]")
+            raise ValidationError("flux.corners", f"corner {c} outside [{spec.lo}, {spec.hi}]")
     # also rejects a width that overflows to inf, before any node is built
     nodes_wanted = (spec.hi - spec.lo) / spec.mesh
     if not nodes_wanted <= MAX_FLUX_NODES:
@@ -257,7 +247,7 @@ def approximate_pw_affine(spec: AnalyticFluxSpec) -> Flux:
 def eval_chord(fl: Flux, a: float, b: float, theta: float) -> float:
     """Value at theta of the line through (a, f(a)) and (b, f(b))."""
     if a == b:
-        raise DegenerateChord("chord endpoints coincide")
+        raise ValidationError("b", "chord endpoints coincide")
     fa, fb = fl(a), fl(b)
     return fa + (fb - fa) / (b - a) * (theta - a)
 
@@ -265,7 +255,7 @@ def eval_chord(fl: Flux, a: float, b: float, theta: float) -> float:
 def eval_tangent(fl: Flux, a: float, theta: float) -> float:
     """Tangent-line value using the left slope at a."""
     if not fl.lo < a <= fl.hi:
-        raise BoundaryPoint(f"tangent base {a} has no left slope")
+        raise ValidationError("a", f"tangent base {a} has no left slope")
     return fl(a) + fl.left_slope(a) * (theta - a)
 
 
@@ -278,7 +268,7 @@ def _monotone(slopes: Sequence[float]) -> tuple[bool, bool]:
 def classify_triplet(fl: Flux, C: float, D: float) -> TripletClass:
     """Convexity pattern of fl left of C and right of D, read off segment slopes."""
     if not (fl.lo <= C <= D <= fl.hi):
-        raise COutOfRange(f"[{C}, {D}] not inside working interval")
+        raise ValidationError("C, D", f"[{C}, {D}] not inside working interval")
     left = [s for i, s in enumerate(fl.slopes) if fl.breakpoints[i] < C]
     right = [s for i, s in enumerate(fl.slopes) if fl.breakpoints[i + 1] > D]
     left_cvx, _ = _monotone(left)
@@ -312,7 +302,7 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
     which involve the off-lattice states a and b, are checked as well.
     """
     if a >= b:
-        raise EmptyInterval(f"need a < b, got [{a}, {b}]")
+        raise ValidationError("b", f"need a < b, got [{a}, {b}]")
     if side not in ("lower", "upper"):
         raise ValidationError("side", f"need 'lower' or 'upper', got {side!r}")
     a, b = float(a), float(b)
@@ -324,7 +314,7 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
     if 0 < lo and hi < len(bp):
         start, shape, tmax = fl._runs
         if hi == lo:
-            return _flux_unchecked((a, b), (fl(a), fl(b)))
+            return Flux((a, b), (fl(a), fl(b)))
         if start[hi - 1] < lo:
             fa, fb = fl(a), fl(b)
             if shape[hi - 1] != sgn:
@@ -334,14 +324,14 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
                 # below tol = 1e-12 _scale (1 + max|f| over [a, b]); a steep end
                 # segment can lift f(a) above its next node and keep that node.
                 if abs(vals[lo - 1]) + abs(vals[hi]) <= 128.0 * (1.0 + max(abs(fa), abs(fb))):
-                    return _flux_unchecked((a, b), (fa, fb))
+                    return Flux((a, b), (fa, fb))
             else:
                 pa, pb = (a, fa), (b, fb)
                 after = (bp[lo + 1], vals[lo + 1]) if hi > lo + 1 else pb
                 before = (bp[hi - 2], vals[hi - 2]) if hi > lo + 1 else pa
                 if (sgn * _cross(pa, (bp[lo], vals[lo]), after) > tmax
                         and sgn * _cross(before, (bp[hi - 1], vals[hi - 1]), pb) > tmax):
-                    return _flux_unchecked((a, *bp[lo:hi], b), (fa, *vals[lo:hi], fb))
+                    return Flux((a, *bp[lo:hi], b), (fa, *vals[lo:hi], fb))
     # f at a breakpoint is its nodal value, so the interior nodes need no evaluation
     pts = [(a, fl(a)), *zip(bp[lo:hi], vals[lo:hi]), (b, fl(b))]
     tol = 1e-12 * fl._scale * (1.0 + max(abs(p[1]) for p in pts))
@@ -351,4 +341,4 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
             chain.pop()
         chain.append(p)
     xs, ys = zip(*chain)
-    return _flux_unchecked(xs, ys)
+    return Flux(xs, ys)

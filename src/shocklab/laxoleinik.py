@@ -11,9 +11,10 @@ One matrix kernel evaluates them: ``_Objective`` holds the dual and the
 primitive of one (flux, data) pair as arrays and builds a rows-by-candidates
 matrix, one row per query (x, t).  Each cell clamps the slope, looks the dual
 up by ``searchsorted`` and adds the primitive; each row reduces to its
-minimum, the tie mask and the extreme tied feet.  Every float operation keeps
-the order of a candidate-by-candidate loop, so results are bit-identical to
-it.  ``value_function`` is a one-row call; ``characteristics.r_curve`` passes
+minimum, the tie mask and the extreme tied feet.  A row whose minimum is not
+finite overflowed and is refused, with no numpy warning.  Every float
+operation keeps the order of a candidate-by-candidate loop, so results are
+bit-identical to it.  ``value_function`` is a one-row call; ``characteristics.r_curve`` passes
 all samples of a curve at once.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveTime, StateOutOfRange, ValidationError, WindowExceeded
+from .errors import ValidationError
 from .flux import Flux
 from .legendre import DualFlux, legendre_dual
 from .step import StepFunction
@@ -92,13 +93,6 @@ class _Primitive:
         return np.where(y <= pos[0], left, right)[()]
 
 
-def _ties(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the first minimum and the mask of the candidates within the
-    tie tolerance 1e-9 (1 + |min|) of it."""
-    best = np.take_along_axis(phi, phi.argmin(axis=1)[:, None], axis=1)
-    return best[:, 0], phi <= best + 1e-9 * (1.0 + np.abs(best))
-
-
 class _Objective:
     """The objective v0(y) + t f*((x-y)/t) of one flux and one data, built
     once and evaluated on a matrix: one row per query (x, t), one column per
@@ -108,8 +102,8 @@ class _Objective:
     def __init__(self, fl: Flux, u0: StepFunction):
         for v in u0.values:
             if not fl.contains(v):
-                raise StateOutOfRange(
-                    f"data value {v} outside working interval [{fl.lo}, {fl.hi}]"
+                raise ValidationError(
+                    "u0", f"data value {v} outside working interval [{fl.lo}, {fl.hi}]"
                 )
         self.dual = dual = legendre_dual(fl)
         self.lo, self.hi = dual.lo, dual.hi
@@ -124,7 +118,7 @@ class _Objective:
         x - t lo] is not finite, before any matrix arithmetic overflows."""
         y_lo, y_hi = x - t * self.hi, x - t * self.lo
         if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
-            raise WindowExceeded(f"candidate window [{y_lo}, {y_hi}] at t={t} overflows")
+            raise ValidationError("t", f"candidate window [{y_lo}, {y_hi}] at t={t} overflows")
 
     def candidates(self, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Columns y_lo, y_hi, the data jumps, then x - t p for the interior
@@ -151,16 +145,35 @@ class _Objective:
         p = np.minimum(np.maximum((x - ys) / t, self.lo), self.hi)
         return self._v0(ys) + t * self._dual(p)
 
+    def ties(
+        self, x: np.ndarray, t: np.ndarray, ys: np.ndarray, valid: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: the first minimum of the objective over the candidates ys
+        (those in valid, when given) and the mask of the candidates within the
+        tie tolerance 1e-9 (1 + |min|) of it.  A row whose minimum, or its
+        tolerance, is not finite overflowed and is refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = self(x, t, ys)
+            if valid is not None:
+                phi = np.where(valid, phi, np.inf)
+            best = np.take_along_axis(phi, phi.argmin(axis=1)[:, None], axis=1)
+            limit = best + 1e-9 * (1.0 + np.abs(best))
+        bad = ~np.isfinite(limit[:, 0])
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValidationError("t", f"objective overflows at x={x[k]}, t={t[k]}")
+        return best[:, 0], phi <= limit
+
     def feet(self, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Extreme minimizers (y_minus, y_plus) of each query row."""
         ys, valid = self.candidates(x, t)
-        _, tie = _ties(np.where(valid, self(x, t, ys), np.inf))
+        _, tie = self.ties(x, t, ys, valid)
         return np.where(tie, ys, np.inf).min(axis=1), np.where(tie, ys, -np.inf).max(axis=1)
 
 
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t > 0.0):
-        raise NonPositiveTime(f"need a finite time t > 0, got {t}")
+        raise ValidationError("t", f"need a finite time t > 0, got {t}")
 
 
 def _check_finite(name: str, v: float) -> None:
@@ -179,7 +192,7 @@ def value_function(fl: Flux, u0: StepFunction, x: float, t: float) -> CharData:
     # distinct candidates in increasing order; of +0.0 and -0.0 the first listed
     ys = ys[valid]
     ys = ys[np.unique(ys, return_index=True)[1]][None, :]
-    best, tie = _ties(objective(xs, ts, ys))
+    best, tie = objective.ties(xs, ts, ys)
     arg = tuple(float(y) for y in ys[tie])
     return CharData(x, t, float(best[0]), arg[0], arg[-1], arg)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotConvex, StateOutOfRange
+from .errors import ValidationError
 from .flux import Flux, make_flux
 
 
@@ -49,7 +49,7 @@ class DualFlux:
     def _clamp(self, p: float) -> float:
         tol = 1e-12 * (1.0 + max(abs(self.lo), abs(self.hi)))
         if p < self.lo - tol or p > self.hi + tol:
-            raise StateOutOfRange(f"slope {p} outside dual domain [{self.lo}, {self.hi}]")
+            raise ValidationError("p", f"slope {p} outside dual domain [{self.lo}, {self.hi}]")
         return min(max(p, self.lo), self.hi)
 
     def __call__(self, p: float) -> float:
@@ -78,7 +78,7 @@ class DualFlux:
 
     def as_flux(self) -> Flux:
         if len(self.breakpoints) < 2:
-            raise NotConvex("single-point dual has no flux representation")
+            raise ValidationError("breakpoints", "single-point dual has no flux representation")
         return make_flux(self.breakpoints, self.values)
 
     def to_json(self) -> dict:
@@ -94,7 +94,7 @@ def legendre_dual(fl: Flux) -> DualFlux:
     canonical state.
     """
     if not fl.is_convex():
-        raise NotConvex("dual is defined for convex fluxes only")
+        raise ValidationError("flux", "dual is defined for convex fluxes only")
     # collapse runs of equal slopes, remembering each run's extent
     run_slope: list[float] = []
     run_right: list[float] = []   # right endpoint of the run (canonical maximizer)

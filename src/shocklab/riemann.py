@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import StateOutOfRange
+from .errors import ValidationError
 from .flux import Flux, hull
 
 
@@ -39,7 +39,7 @@ def solve_riemann(fl: Flux, u_l: float, u_r: float) -> tuple[Front, ...]:
     front's right state the next one's left state; empty when u_l == u_r."""
     if u_l == u_r:
         if not fl.contains(u_l):
-            raise StateOutOfRange(f"state {u_l} outside working interval")
+            raise ValidationError("state", f"state {u_l} outside working interval")
         return ()
     # hull checks both states' range and holds f exactly at its nodes, so each
     # quotient (f(l) - f(r)) / (l - r) is read off it in the same operand order

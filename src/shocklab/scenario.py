@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .flux import AnalyticFluxSpec, Flux, approximate_pw_affine, make_flux
 from .singleshock import HypothesisParams, certify, check_main_conditions
 from .step import StepFunction, assemble_initial_data, constant, step
@@ -190,14 +190,14 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
 
 def read_json(path: str | Path) -> dict:
-    """The JSON object in the file at path; a ParseError when the file cannot
-    be read or decoded, or holds anything but an object."""
+    """The JSON object in the file at path; a ValidationError of the path
+    when the file cannot be read or decoded, or holds anything but an object."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:   # ValueError: bad UTF-8, bad JSON, over-long integers
-        raise ParseError(f"{path}: {e}")
+        raise ValidationError(str(path), e)
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+        raise ValidationError(str(path), f"expected a JSON object, got {type(raw).__name__}")
     return raw
 
 

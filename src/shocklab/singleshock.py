@@ -28,13 +28,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
-from .errors import (
-    BoundViolated,
-    HypothesisNotChecked,
-    NoRootInInterval,
-    NotATriplet,
-    ValidationError,
-)
+from .errors import BoundViolated, ValidationError
 from .flux import Flux, TripletClass, classify_triplet, eval_chord, eval_tangent
 from .step import StepFunction, assemble_initial_data
 from .tracking import SimState, _LiveFront, events, init_state
@@ -126,7 +120,9 @@ def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
         raise ValidationError("hypothesis.b1", f"need b1 <= flux.hi = {fl.hi}, got {hp.b1}")
     triplet = classify_triplet(fl, hp.C, hp.D)
     if triplet is TripletClass.NEITHER:
-        raise NotATriplet("flux is not convex-convex or convex-concave at (C, D)")
+        raise ValidationError(
+            "hypothesis", "flux is not convex-convex or convex-concave at (C, D)"
+        )
     failures: list[Witness] = []
 
     def band(x1: float, x2: float) -> tuple[float, float]:
@@ -237,7 +233,9 @@ def compute_alpha0(fl: Flux, beta2: float, hi: float | None = None) -> float:
     for (l0, l1, g0), (r0, r1, g1) in zip(gaps, gaps[1:]):
         if g0 < 0 <= g1:
             return r0
-    raise NoRootInInterval(f"no tangent through ({beta2}, {target}) based in [{fl.lo}, {hi}]")
+    raise ValidationError(
+        "beta2", f"no tangent through ({beta2}, {target}) based in [{fl.lo}, {hi}]"
+    )
 
 
 def _lattice(fl: Flux, lo: float, hi: float) -> list[float]:
@@ -376,22 +374,15 @@ class _Separation:
     """
 
     def __init__(self, fronts: list[_LiveFront], left_range, right_range):
-        self._ranges = left_range, right_range
-        self._classes: dict[float, int] = {}   # piece value -> class
+        # in_range of each range is one comparison chain against its widened ends
+        self._ends = (*_widened(left_range), *_widened(right_range))
         self.bad = int(self._class(fronts[0].left) == _NEITHER) if fronts else 0
         self.crossing: set[_LiveFront] = set()
         self.update((), fronts)
 
     def _class(self, v: float) -> int:
-        c = self._classes.get(v)
-        if c is None:
-            left_range, right_range = self._ranges
-            c = self._classes[v] = (
-                _LEFT if in_range(v, left_range)
-                else _RIGHT if in_range(v, right_range)
-                else _NEITHER
-            )
-        return c
+        l_lo, l_hi, r_lo, r_hi = self._ends
+        return _LEFT if l_lo <= v <= l_hi else _RIGHT if r_lo <= v <= r_hi else _NEITHER
 
     def _count(self, f: _LiveFront, sign: int) -> None:
         cl, cr = self._class(f.left), self._class(f.right)
@@ -492,17 +483,17 @@ def certify(
 ) -> EmergenceReport:
     """Run the emergence check for a configuration with satisfied conditions.
 
-    Raises HypothesisNotChecked when the conditions are violated; otherwise
-    simulates to the horizon t_max, detects persistent separation,
-    and attaches the empirical gamma plus the finite analytic bound when the
-    chord-speed gap is positive.  ``state`` is the fresh SimState of the
+    Raises a ValidationError of ``hypothesis`` when the conditions are
+    violated; otherwise simulates to the horizon t_max, detects persistent
+    separation, and attaches the empirical gamma plus the finite analytic
+    bound when the chord-speed gap is positive.  ``state`` is the fresh SimState of the
     assembled data to run; one is built when none is passed.
     """
     if verdict is None:
         verdict = check_main_conditions(fl, hp)
     if not verdict.satisfied:
-        raise HypothesisNotChecked(
-            f"conditions violated: {[w.condition for w in verdict.witnesses]}"
+        raise ValidationError(
+            "hypothesis", f"conditions violated: {[w.condition for w in verdict.witnesses]}"
         )
     left_range, right_range = ranges_for(verdict.kind, hp)
     for v in u_minus.values:

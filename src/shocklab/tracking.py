@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import EventOverflow, StateOutOfRange, ValidationError
+from .errors import ValidationError
 from .flux import Flux
 from .riemann import solve_riemann
 from .step import StepFunction, step
@@ -85,7 +85,7 @@ class SimState:
         """Replace each jump of u0 by its Riemann fan and prime the event queue."""
         for v in u0.values:
             if not flux.contains(v):
-                raise StateOutOfRange(f"data value {v} outside working interval")
+                raise ValidationError("u0", f"data value {v} outside working interval")
         self.flux = flux
         self.t = 0.0
         self.event_log: list[EventRecord] = []
@@ -94,6 +94,7 @@ class SimState:
         self._seq = itertools.count()
         self._fans: dict = {}
         self._fid = itertools.count()
+        # the left tail: no event changes it, and it is the profile of an empty chain
         self._constant_value = u0.values[0]
         # requested snapshot time -> profile there, filled in by events()
         self.snapshots: dict[float, StepFunction | None] = {}
@@ -181,7 +182,7 @@ class SimState:
 
     def _process(self, t_hit: float, x_hit: float, a: _LiveFront, b: _LiveFront) -> EventRecord:
         if len(self.event_log) >= MAX_EVENTS:
-            raise EventOverflow(f"more than {MAX_EVENTS} events")
+            raise ValidationError("t_until", f"more than {MAX_EVENTS} events")
         self.t = t_hit
         block = self._group(t_hit, x_hit, a, b)
         before, after = block[0].prev, block[-1].next
@@ -205,8 +206,6 @@ class SimState:
             left.next = after
         if after is not None:
             after.prev = left
-        if self.head is None:
-            self._constant_value = block[0].left
         rec = EventRecord(t_hit, x_hit, tuple(block), born)
         self.event_log.append(rec)
         # new adjacencies: block edges only (fan speeds increase, so no inner

@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from shocklab.errors import ValidationError
 from shocklab.flux import AnalyticFluxSpec, approximate_pw_affine, make_flux
 from shocklab.step import step
 
@@ -61,6 +64,14 @@ def lipschitz(fl, lo, hi):
         if fl.breakpoints[i + 1] > lo and fl.breakpoints[i] < hi:
             out = max(out, abs(s))
     return out
+
+
+@contextmanager
+def refused(field):
+    """Expect a ValidationError that names ``field``, the input to change."""
+    with pytest.raises(ValidationError) as err:
+        yield err
+    assert err.value.field == field
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from shocklab import errors, singleshock
+from conftest import refused
+from shocklab import singleshock
 from shocklab.characteristics import r_curve
 from shocklab.cli import _load_step
 from shocklab.cli import main as cli_main
@@ -154,9 +155,9 @@ def test_cli_bad_query_exits_2(tmp_path, capsys, case):
 @pytest.mark.filterwarnings("error")
 def test_r_curve_refuses_an_overflowing_window():
     fl = make_flux([-2, 0, 2], [2, 0, 2])
-    with pytest.raises(errors.WindowExceeded, match="candidate window") as exc:
+    with refused("t") as exc:
         r_curve(fl, step([1.0, 0.0], [0.0]), 0.0, "plus", [1.0, 1e308])
-    assert "x=" not in str(exc.value)
+    assert str(exc.value).startswith("t: candidate window") and "x=" not in str(exc.value)
 
 
 @pytest.mark.filterwarnings("error")
@@ -165,7 +166,34 @@ def test_cli_rcurve_overflowing_window_prints_only_the_error(tmp_path, capsys):
              "--data", _write(tmp_path, "d.json", DATA_JSON)]
     assert cli_main(["rcurve", "--alpha", "0", "--t", "1e308"] + files) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: candidate window") and err.count("\n") == 1
+    assert out == "" and err.startswith("error: t: candidate window") and err.count("\n") == 1
+
+
+# the candidate window of (x, t) = (8e307, 1e307) is finite, but v0(y) and
+# t f*((x - y)/t) overflow on it and leave no finite minimum
+V3 = {"breakpoints": [-3, 0, 3], "values": [3, 0, 3]}
+DOWN = {"positions": [0.0], "values": [3.0, -3.0]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda fl, u0: value_function(fl, u0, 8e307, 1e307),
+    lambda fl, u0: r_curve(fl, u0, 0.0, "plus", [1.0, 8e307]),
+], ids=["value_function", "r_curve"])
+def test_overflowing_objective_is_refused(call):
+    u0 = step(DOWN["values"], DOWN["positions"])
+    with refused("t") as err:
+        call(make_flux(V3["breakpoints"], V3["values"]), u0)
+    assert "objective overflows" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_objective_prints_only_the_error(tmp_path, capsys):
+    files = ["--flux", _write(tmp_path, "f.json", json.dumps(V3)),
+             "--data", _write(tmp_path, "d.json", json.dumps(DOWN))]
+    assert cli_main(["laxoleinik", "--x", "8e307", "--t", "1e307"] + files) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: t: objective overflows") and err.count("\n") == 1
 
 
 # constant data 5 on a flux over [-2, 2]: f'(5) does not exist, so the
@@ -180,7 +208,7 @@ OUTSIDE = {
 @pytest.mark.parametrize("call", sorted(OUTSIDE))
 def test_variational_data_outside_flux_raises(call):
     fl = make_flux([-2, 0, 2], [2, 0, 2])
-    with pytest.raises(errors.StateOutOfRange):
+    with refused("u0"):
         OUTSIDE[call](fl, constant(5.0))
 
 

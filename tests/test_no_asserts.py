@@ -1,7 +1,9 @@
 """Invariant checks in the package must raise, not assert: ``python -O``
 strips ``assert`` statements, which would silently switch the checks off.
-What they raise is a typed library error, so the CLI turns every failure into
-exit code 2 and callers can catch one base class."""
+What they raise is a library error, so the CLI turns every failure into exit
+code 2 and callers can catch one base class: a ValidationError, which names
+the input to change, or BoundViolated, a measurement against the paper's
+bound."""
 
 import ast
 from pathlib import Path
@@ -24,10 +26,13 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
-TYPED = {
-    name for name, v in vars(errors).items()
-    if isinstance(v, type) and issubclass(v, errors.ShockLabError)
-}
+RAISED = {"ValidationError", "BoundViolated"}
+
+
+def test_errors_defines_three_classes():
+    assert {
+        name for name, v in vars(errors).items() if isinstance(v, type)
+    } == RAISED | {"ShockLabError"}
 
 
 def _raised_name(exc) -> str | None:
@@ -42,6 +47,6 @@ def test_raises_name_library_errors(path):
     untyped = [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Raise) and node.exc is not None
-        and _raised_name(node.exc) not in TYPED
+        and _raised_name(node.exc) not in RAISED
     ]
-    assert untyped == [], f"{path.name}: raises outside shocklab.errors at lines {untyped}"
+    assert untyped == [], f"{path.name}: raises other than {sorted(RAISED)} at lines {untyped}"

@@ -46,6 +46,20 @@ def test_unused_convex_modification_api_is_gone():
     assert not hasattr(shocklab.StepFunction, "translate")
 
 
+FOLDED_ERRORS = (
+    "NonMonotoneBreakpoints", "LengthMismatch", "EmptyMesh", "DegenerateChord", "BoundaryPoint",
+    "COutOfRange", "EmptyInterval", "StateOutOfRange", "NotConvex", "EventOverflow",
+    "NonPositiveTime", "WindowExceeded", "NotATriplet", "HypothesisNotChecked",
+    "NoRootInInterval", "ParseError",
+)
+
+
+def test_single_use_error_classes_are_folded_into_validation_error():
+    assert len(FOLDED_ERRORS) == 16
+    for gone in FOLDED_ERRORS:
+        assert not hasattr(errors, gone) and not hasattr(shocklab, gone), gone
+
+
 def test_one_owner_per_decision():
     # certify runs to the horizon its caller passes; the scenario owns the default
     assert inspect.signature(singleshock.certify).parameters["t_max"].default is (

@@ -1,7 +1,6 @@
 import pytest
 
-from conftest import front_speed, mesh, random_flux
-from shocklab import errors
+from conftest import front_speed, mesh, random_flux, refused
 from shocklab.flux import Flux, make_flux
 from shocklab.riemann import oleinik_condition_e, solve_riemann
 
@@ -49,7 +48,7 @@ def test_zero_width_jump_empty_fan():
 
 
 def test_state_out_of_range():
-    with pytest.raises(errors.StateOutOfRange):
+    with refused("state"):
         solve_riemann(V_FLUX, 0.0, 3.0)
 
 
@@ -85,7 +84,7 @@ def test_random_fans_admissible(rng):
     (float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0), (0.0, float("-inf")),
 ])
 def test_state_out_of_range_either_side(u_l, u_r):
-    with pytest.raises(errors.StateOutOfRange):
+    with refused("state"):
         solve_riemann(V_FLUX, u_l, u_r)
 
 

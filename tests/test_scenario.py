@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import refused
 from shocklab import errors
 from shocklab.cli import main as cli_main
 from shocklab.scenario import (
@@ -49,8 +50,9 @@ def test_load_scenario_roundtrip(tmp_path):
 def test_parse_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    with pytest.raises(errors.ParseError):
+    with refused(str(p)) as err:
         load_scenario(p)
+    assert str(err.value).startswith(f"{p}: Expecting property name")
 
 
 def test_validation_error_a_after_b():
@@ -154,6 +156,19 @@ def test_batch_order_independent(tmp_path):
             assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
 
 
+def test_cli_batch_writes_every_scenario(tmp_path):
+    paths = _write_presets(tmp_path, ["burgers_shock", "counterexample_1"])
+    assert cli_main(["batch", *map(str, paths), "--out", str(tmp_path / "out")]) == 0
+    reports = sorted(p.name for p in (tmp_path / "out").glob("*_report.json"))
+    assert reports == ["s0_report.json", "s1_report.json"]
+
+
+def test_preset_file_loads_the_preset(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"preset": "burgers_shock"}))
+    assert load_scenario(path) == preset("burgers_shock")
+
+
 def test_batch_rejects_shared_names(tmp_path, capsys):
     paths = _write_presets(tmp_path, ["burgers_shock", "burgers_shock"], rename=False)
     with pytest.raises(errors.ValidationError, match="burgers_shock"):
@@ -217,6 +232,20 @@ def test_cli_certify_exit_codes(capsys):
 
 def test_cli_config_error(capsys):
     assert cli_main(["check"]) == 2
+    assert capsys.readouterr().err.startswith("error: --scenario: ")
+
+
+def test_cli_check_without_hypothesis_exits_2(tmp_path, capsys):
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(MINIMAL))
+    assert cli_main(["check", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: hypothesis: scenario has no hypothesis block\n"
+
+
+def test_equal_ends_leave_no_room_for_middle_steps():
+    data = MINIMAL["data"] | {"B": 0.0, "ubar": {"values": [0.5, -0.5], "positions": [0.5]}}
+    with refused("data.ubar"):
+        scenario_from_dict(MINIMAL | {"data": data})
 
 
 def test_cli_solve_writes(tmp_path, capsys):

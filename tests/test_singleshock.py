@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import mesh
+from conftest import mesh, refused
 from shocklab import errors
 from shocklab.cli import main as cli_main
 from shocklab.scenario import _counterexample_2_flux, emit_scenario, preset, random_steps
@@ -60,7 +60,7 @@ def test_hypothesis_ordering_failure_surfaces_as_violation():
 
 def test_hypothesis_requires_triplet():
     fl = double_well()
-    with pytest.raises(errors.NotATriplet):
+    with refused("hypothesis"):
         check_hypothesis_H(fl, HypothesisParams(-3.0, -3.0, -0.1, 0.1, 3.0, 3.0))
 
 
@@ -155,7 +155,7 @@ def test_alpha0_exact_on_degenerate_lattice():
 
 
 def test_alpha0_no_root_for_convex():
-    with pytest.raises(errors.NoRootInInterval):
+    with refused("beta2"):
         compute_alpha0(burgers(), 1.0, hi=0.0)
 
 
@@ -202,7 +202,7 @@ def test_t0_bound_neg_cubic_finite():
 def test_certify_gates_on_violation():
     fl = double_well()
     hp = HypothesisParams(-2.0, -2.0, -SQ23, SQ23, 2.0, 2.0)
-    with pytest.raises(errors.HypothesisNotChecked):
+    with refused("hypothesis"):
         certify(fl, hp, 0.0, 1.0, constant(2.0), constant(0.0), constant(-2.0), t_max=100.0)
 
 
@@ -230,8 +230,16 @@ def test_certify_neg_cubic_ii1_with_bound():
 def test_certify_validates_data_ranges():
     fl = mesh("burgers", -3, 3, 0.05, corners=(0.0, 1.0))
     hp = HypothesisParams(0.0, 0.0, 0.25, 0.75, 1.0, 1.0)
-    with pytest.raises(errors.ValidationError):
+    # satisfied I: u_minus in [b2, b1] = [1, 1], u_plus in [a1, a2] = [0, 0]
+    with refused("u_minus"):
         certify(fl, hp, 0.0, 1.0, constant(0.5), constant(0.2), constant(0.0), t_max=100.0)
+    with refused("u_plus"):
+        certify(fl, hp, 0.0, 1.0, constant(1.0), constant(0.2), constant(0.5), t_max=100.0)
+
+
+def test_hypothesis_params_need_the_band_order():
+    with refused("hypothesis"):
+        HypothesisParams(0.0, 0.5, 0.25, 0.75, 1.0, 1.0)   # a2 > C
 
 
 def test_gamma_stability_across_data(rng):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import refused
 from shocklab import errors
 from shocklab.step import (
     StepFunction,
@@ -25,11 +26,23 @@ def test_validation():
         StepFunction((1.0, 1.0), (0.0, 1.0, 2.0))
     with pytest.raises(errors.ValidationError):
         StepFunction((1.0,), (0.0, 1.0, 2.0))
+    with refused("values"):
+        step([1.0, 2.0], [0.0, 1.0])
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(errors.ValidationError, match="positions"):
             StepFunction((x,), (0.0, 1.0))
         with pytest.raises(errors.ValidationError, match="positions"):
             StepFunction((0.0, x), (0.0, 1.0, 2.0))
+
+
+def test_everywhere_leq_without_jumps():
+    assert everywhere_leq(constant(0.0), constant(1.0))
+    assert not everywhere_leq(constant(1.0), constant(0.0))
+
+
+def test_assemble_needs_a_at_most_b():
+    with refused("A"):
+        assemble_initial_data(1.0, 0.0, constant(0.0), constant(0.0), constant(0.0))
 
 
 def test_right_continuous_evaluation():
