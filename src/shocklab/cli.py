@@ -46,9 +46,12 @@ def _scenario_from_args(args) -> object:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        out = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
+        out = []
+    if not out:
         raise ValidationError("--t", f"expected comma-separated numbers, got {text!r}")
+    return out
 
 
 def main(argv=None) -> int:

@@ -42,16 +42,14 @@ class Flux:
         return self.breakpoints[-1]
 
     def contains(self, x: float) -> bool:
-        """x inside the working interval, up to a 1e-12 margin relative to its scale."""
-        tol = 1e-12 * self._scale
-        return self.lo - tol <= x <= self.hi + tol
+        """x inside the closed working interval [lo, hi], exactly."""
+        return self.lo <= x <= self.hi
 
     def _segment(self, x: float) -> int:
         """Index i of a segment [b_i, b_{i+1}] containing x."""
         if not self.contains(x):
             raise ValidationError("state", f"{x} outside working interval [{self.lo}, {self.hi}]")
-        i = bisect_right(self.breakpoints, x) - 1
-        return min(max(i, 0), len(self.breakpoints) - 2)
+        return min(bisect_right(self.breakpoints, x) - 1, len(self.breakpoints) - 2)
 
     @cached_property
     def slopes(self) -> tuple[float, ...]:
@@ -218,13 +216,17 @@ def approximate_pw_affine(spec: AnalyticFluxSpec) -> Flux:
         )
     n = int(round(nodes_wanted))
     grid = [spec.lo + k * spec.mesh for k in range(max(n, 1))] + [spec.hi]
-    nodes = sorted(set(grid) | set(spec.corners))
-    # drop grid nodes that collide with a corner up to rounding noise
+    # a grid node within rounding noise of a corner or an interval end gives
+    # way to it, on either side, so every requested node is a breakpoint
+    kept = {spec.lo, spec.hi, *spec.corners}
     merged: list[float] = []
     keep_tol = 1e-9 * spec.mesh
-    for x in nodes:
+    for x in sorted(set(grid) | kept):
         if merged and x - merged[-1] <= keep_tol:
-            continue
+            if x not in kept:
+                continue
+            if merged[-1] not in kept:
+                merged.pop()
         merged.append(x)
     values = []
     for x in merged:
@@ -306,34 +308,32 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
     if side not in ("lower", "upper"):
         raise ValidationError("side", f"need 'lower' or 'upper', got {side!r}")
     a, b = float(a), float(b)
+    fa, fb = fl(a), fl(b)   # also the range check of both states
     bp, vals = fl.breakpoints, fl.values
     lo, hi = bisect_right(bp, a), bisect_left(bp, b)
     sgn = 1.0 if side == "lower" else -1.0
-    # a lies in segment lo - 1 and b in segment hi - 1; states in the contains
-    # margin outside [bp[0], bp[-1]] take the chain
-    if 0 < lo and hi < len(bp):
-        start, shape, tmax = fl._runs
-        if hi == lo:
-            return Flux((a, b), (fl(a), fl(b)))
-        if start[hi - 1] < lo:
-            fa, fb = fl(a), fl(b)
-            if shape[hi - 1] != sgn:
-                # On the exact run every cross (a, node, next) the chain takes
-                # is <= 0.  Rounding f(a) and f(b) adds up to about 1e-15 (b - a)
-                # times the far nodal values of their segments, which must stay
-                # below tol = 1e-12 _scale (1 + max|f| over [a, b]); a steep end
-                # segment can lift f(a) above its next node and keep that node.
-                if abs(vals[lo - 1]) + abs(vals[hi]) <= 128.0 * (1.0 + max(abs(fa), abs(fb))):
-                    return Flux((a, b), (fa, fb))
-            else:
-                pa, pb = (a, fa), (b, fb)
-                after = (bp[lo + 1], vals[lo + 1]) if hi > lo + 1 else pb
-                before = (bp[hi - 2], vals[hi - 2]) if hi > lo + 1 else pa
-                if (sgn * _cross(pa, (bp[lo], vals[lo]), after) > tmax
-                        and sgn * _cross(before, (bp[hi - 1], vals[hi - 1]), pb) > tmax):
-                    return Flux((a, *bp[lo:hi], b), (fa, *vals[lo:hi], fb))
+    # a lies in segment lo - 1 and b in segment hi - 1
+    start, shape, tmax = fl._runs
+    if hi == lo:
+        return Flux((a, b), (fa, fb))
+    if start[hi - 1] < lo:
+        if shape[hi - 1] != sgn:
+            # On the exact run every cross (a, node, next) the chain takes
+            # is <= 0.  Rounding f(a) and f(b) adds up to about 1e-15 (b - a)
+            # times the far nodal values of their segments, which must stay
+            # below tol = 1e-12 _scale (1 + max|f| over [a, b]); a steep end
+            # segment can lift f(a) above its next node and keep that node.
+            if abs(vals[lo - 1]) + abs(vals[hi]) <= 128.0 * (1.0 + max(abs(fa), abs(fb))):
+                return Flux((a, b), (fa, fb))
+        else:
+            pa, pb = (a, fa), (b, fb)
+            after = (bp[lo + 1], vals[lo + 1]) if hi > lo + 1 else pb
+            before = (bp[hi - 2], vals[hi - 2]) if hi > lo + 1 else pa
+            if (sgn * _cross(pa, (bp[lo], vals[lo]), after) > tmax
+                    and sgn * _cross(before, (bp[hi - 1], vals[hi - 1]), pb) > tmax):
+                return Flux((a, *bp[lo:hi], b), (fa, *vals[lo:hi], fb))
     # f at a breakpoint is its nodal value, so the interior nodes need no evaluation
-    pts = [(a, fl(a)), *zip(bp[lo:hi], vals[lo:hi]), (b, fl(b))]
+    pts = [(a, fa), *zip(bp[lo:hi], vals[lo:hi]), (b, fb)]
     tol = 1e-12 * fl._scale * (1.0 + max(abs(p[1]) for p in pts))
     chain: list[tuple[float, float]] = []
     for p in pts:

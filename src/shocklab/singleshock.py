@@ -129,13 +129,11 @@ def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
         s1, s2 = fl.left_slope(x1), fl.left_slope(x2)
         return min(s1, s2), max(s1, s2)
 
-    pos_tol = 1e-12 * fl._scale
-
     def preimage_check(lo_band, x_lo, x_hi, region, label):
         for x in region:
             s = fl.left_slope(x)
             in_band = lo_band[0] - 1e-12 <= s <= lo_band[1] + 1e-12
-            in_interval = x_lo - pos_tol <= x <= x_hi + pos_tol
+            in_interval = x_lo <= x <= x_hi
             if in_band != in_interval:
                 failures.append(Witness(label, x, s, lo_band[0], False))
 
@@ -312,15 +310,9 @@ class EmergenceReport:
         }
 
 
-def _widened(rng: tuple[float, float]) -> tuple[float, float]:
-    """The ends of rng moved out by a 1e-12 margin relative to each end."""
-    return rng[0] - 1e-12 * (1.0 + abs(rng[0])), rng[1] + 1e-12 * (1.0 + abs(rng[1]))
-
-
 def in_range(v: float, rng: tuple[float, float]) -> bool:
-    """v inside the closed range rng, up to a 1e-12 relative margin at each end."""
-    lo, hi = _widened(rng)
-    return lo <= v <= hi
+    """v inside the closed range rng, exactly."""
+    return rng[0] <= v <= rng[1]
 
 
 def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None:
@@ -351,10 +343,8 @@ def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None
 
 
 def _disjoint(left_range, right_range) -> bool:
-    """No value is in_range of both ranges, margins included."""
-    l_lo, l_hi = _widened(left_range)
-    r_lo, r_hi = _widened(right_range)
-    return l_hi < r_lo or r_hi < l_lo
+    """No value is in_range of both ranges."""
+    return left_range[1] < right_range[0] or right_range[1] < left_range[0]
 
 
 _LEFT, _RIGHT, _NEITHER = 0, 1, 2
@@ -374,8 +364,8 @@ class _Separation:
     """
 
     def __init__(self, fronts: list[_LiveFront], left_range, right_range):
-        # in_range of each range is one comparison chain against its widened ends
-        self._ends = (*_widened(left_range), *_widened(right_range))
+        # in_range of each range is one comparison chain against its ends
+        self._ends = (*left_range, *right_range)
         self.bad = int(self._class(fronts[0].left) == _NEITHER) if fronts else 0
         self.crossing: set[_LiveFront] = set()
         self.update((), fronts)
@@ -512,7 +502,7 @@ def certify(
         # the chord-speed induction requires the middle data to stay inside
         # the left family (at or below a2); outside it no bound is claimed
         mid = (min(*u_minus.values, *ubar.values), max(*u_minus.values, *ubar.values))
-        if not in_range(mid[1], (-math.inf, hp.a2)):
+        if not mid[1] <= hp.a2:
             mid = None
     else:
         # fast [b2, b1] states chase slow [a1, a2] states through all the data

@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -47,6 +48,13 @@ def random_problem(seed, convex):
     # random_flux may place all its nodes within 0.02 of each other
     margin = min(0.01, (fl.hi - fl.lo) / 4)
     return fl, random_step(rng, int(rng.integers(2, 12)), fl.lo + margin, fl.hi - margin)
+
+
+def ulps(v, k):
+    """The float k steps above v (below it for k < 0)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
 
 
 def front_speed(fl, l, r):

@@ -2,6 +2,7 @@
 inputs end with exit code 2 instead of a traceback."""
 
 import json
+import math
 
 import pytest
 
@@ -10,11 +11,13 @@ from shocklab import singleshock
 from shocklab.characteristics import r_curve
 from shocklab.cli import _load_step
 from shocklab.cli import main as cli_main
-from shocklab.flux import make_flux
+from shocklab.flux import hull, make_flux
 from shocklab.laxoleinik import solve_pointwise, value_function
-from shocklab.scenario import emit_scenario, preset
+from shocklab.riemann import solve_riemann
+from shocklab.scenario import emit_scenario, preset, scenario_from_dict
 from shocklab.step import constant, step
-from shocklab.singleshock import EmergenceReport
+from shocklab.singleshock import EmergenceReport, check_main_conditions, certify, ranges_for
+from shocklab.tracking import SimState
 
 
 def _fake_bound(monkeypatch, t_tilde):
@@ -138,13 +141,18 @@ BAD_QUERIES = {
     "laxoleinik_inf_position": ["laxoleinik", "--x", "inf", "--t", "1"],
     # x - t p overflows: the candidate window is not finite
     "laxoleinik_overflowing_window": ["laxoleinik", "--x", "1e308", "--t", "1e308"],
+    "rcurve_no_time": ["rcurve", "--alpha", "0", "--t", ""],
+    "rcurve_only_separators": ["rcurve", "--alpha", "0", "--t", " , "],
+    # 1e-13 past the flux's right end: states are compared with it exactly
+    "riemann_state_past_hi": ["riemann", "--left", "2.0000000000001", "--right", "0"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_QUERIES))
 def test_cli_bad_query_exits_2(tmp_path, capsys, case):
-    files = ["--flux", _write(tmp_path, "f.json", FLUX_JSON),
-             "--data", _write(tmp_path, "d.json", DATA_JSON)]
+    files = ["--flux", _write(tmp_path, "f.json", FLUX_JSON)]
+    if BAD_QUERIES[case][0] != "riemann":
+        files += ["--data", _write(tmp_path, "d.json", DATA_JSON)]
     assert cli_main(BAD_QUERIES[case] + files) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -220,6 +228,51 @@ def test_cli_data_outside_flux_exits_2(tmp_path, capsys, query):
              "--data", _write(tmp_path, "d.json", '{"positions": [], "values": [5.0]}')]
     assert cli_main(query + files) == 2
     assert "outside working interval" in capsys.readouterr().err
+
+
+# the flux of FLUX_JSON on [-2, 2], and the floats next to its ends outside it
+EDGE_FLUX = make_flux([-2, 0, 2], [2, 0, 2])
+OUTSIDE_ENDS = [math.nextafter(-2.0, -math.inf), math.nextafter(2.0, math.inf)]
+BURGERS_SPEC = {"kind": "burgers", "lo": -2.0, "hi": 2.0, "mesh": 0.5}
+
+# each consumer of a state, called with one state v and the other state 0.0
+STATE_CONSUMERS = {
+    "solve_riemann": (lambda v: solve_riemann(EDGE_FLUX, v, 0.0), "state"),
+    "solve_riemann_reversed": (lambda v: solve_riemann(EDGE_FLUX, 0.0, v), "state"),
+    "solve_riemann_no_jump": (lambda v: solve_riemann(EDGE_FLUX, v, v), "state"),
+    "hull": (lambda v: hull(EDGE_FLUX, min(v, 0.0), max(v, 0.0)), "state"),
+    "SimState": (lambda v: SimState(EDGE_FLUX, step([v, 0.0], [0.0])), "u0"),
+    "scenario_from_dict": (lambda v: scenario_from_dict(
+        {"flux": BURGERS_SPEC, "data": {"A": 0.0, "B": 1.0, "u_minus": v}}), "data"),
+    "value_function": (lambda v: value_function(EDGE_FLUX, step([v, 0.0], [0.0]), 0.0, 1.0),
+                       "u0"),
+}
+
+
+@pytest.mark.parametrize("v", OUTSIDE_ENDS)
+@pytest.mark.parametrize("consumer", sorted(STATE_CONSUMERS))
+def test_state_one_float_past_the_flux_ends_is_refused(consumer, v):
+    call, field = STATE_CONSUMERS[consumer]
+    with refused(field):
+        call(v)
+
+
+@pytest.mark.parametrize("v", [-2.0, 2.0])
+@pytest.mark.parametrize("consumer", sorted(STATE_CONSUMERS))
+def test_state_on_the_flux_ends_is_accepted(consumer, v):
+    STATE_CONSUMERS[consumer][0](v)
+
+
+@pytest.mark.parametrize("name", ["burgers_shock", "neg_cubic_ii1", "double_well_i",
+                                  "buckley_leverett"])
+def test_certify_refuses_u_minus_one_float_outside_its_range(name):
+    s = preset(name)
+    verdict = check_main_conditions(s.flux, s.hypothesis)
+    lo, hi = ranges_for(verdict.kind, s.hypothesis)[0]
+    for v in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+        with refused("u_minus"):
+            certify(s.flux, s.hypothesis, s.A, s.B, constant(v), s.ubar, s.u_plus,
+                    t_max=s.t_max, verdict=verdict)
 
 
 def test_cli_solve_text_snapshot_option_exits_2(tmp_path, capsys):

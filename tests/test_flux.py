@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import refused
+from conftest import refused, ulps
 from shocklab import errors
 from shocklab.flux import (
     AnalyticFluxSpec,
@@ -15,6 +17,7 @@ from shocklab.flux import (
     hull,
     make_flux,
 )
+from shocklab.scenario import PRESETS, preset
 
 
 def burgers_mesh(h=0.01, lo=-2.0, hi=2.0, corners=(0.0, 1.0)):
@@ -84,6 +87,45 @@ def test_approximate_mesh_subsumed_by_corners():
         AnalyticFluxSpec("burgers", 0.0, 1.0, 1.0, corners=(0.0, 0.5, 1.0))
     )
     assert fl.breakpoints == (0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, raw in PRESETS.items() if "flux" in raw))
+def test_preset_corners_are_breakpoints(name):
+    spec = PRESETS[name]["flux"]
+    bp = preset(name).flux.breakpoints
+    assert (bp[0], bp[-1]) == (spec["lo"], spec["hi"])
+    assert set(spec.get("corners", ())) <= set(bp)
+
+
+@st.composite
+def corner_spec(draw):
+    """A mesh on [lo, hi] and corners on its grid nodes, a float step or two
+    from them, their decimal roundings, or anywhere in the interval."""
+    lo = draw(st.floats(-4.0, 4.0))
+    h = draw(st.floats(0.01, 0.5))
+    hi = lo + h * draw(st.integers(1, 40)) + draw(st.floats(0.0, 1.0))
+    k = st.integers(0, int((hi - lo) / h))
+    corner = st.one_of(
+        st.builds(lambda k, n: ulps(lo + k * h, n), k, st.integers(-2, 2)),
+        st.builds(lambda k, d: round(lo + k * h, d), k, st.integers(1, 6)),
+        st.floats(lo, hi),
+    ).filter(lambda c: lo <= c <= hi)
+    return lo, hi, h, tuple(draw(st.lists(corner, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corner_spec())
+@example((-3.2, 3.2, 0.05, (-2.4,)))   # the grid node -3.2 + 16 * 0.05 lies 4e-16 below
+def test_requested_corners_are_breakpoints(case):
+    lo, hi, h, corners = case
+    fl = approximate_pw_affine(AnalyticFluxSpec("burgers", lo, hi, h, corners=corners))
+    bp = fl.breakpoints
+    assert (bp[0], bp[-1]) == (lo, hi)
+    assert set(corners) <= set(bp)
+    # a grid node is dropped only for a requested node within 1e-9 h of it
+    kept = {lo, hi, *corners}
+    for x in (lo + k * h for k in range(int(round((hi - lo) / h)))):
+        assert x in bp or min(abs(x - c) for c in kept) <= 1e-9 * h
 
 
 def test_approximate_rejects_bad_mesh():

@@ -3,10 +3,12 @@
 For disjoint ranges ``run_until_single_front`` keeps the answer up to date
 from the event records (``singleshock._Separation``);
 ``singleshock._separating_front`` scans the chain and stays as the detector
-for overlapping ranges and as the oracle here.  After every event both must name the very same front object.  The
-streamed report is compared with the report of the list of per-event checks
-it replaced, bit for bit, and the preset reports with those recorded before
-the detector became incremental.
+for overlapping ranges and as the oracle here.  After every event both must
+name the very same front object.  Both compare states with the range ends
+exactly, so the ranges drawn here end on lattice values or one float step
+from them.  The streamed report is compared with the report of the list of
+per-event checks it replaced, bit for bit, and the preset reports with those
+recorded before the detector became incremental.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh, random_problem
+from conftest import mesh, random_problem, ulps
 from shocklab.errors import ShockLabError, ValidationError
 from shocklab.flux import make_flux
 from shocklab.scenario import PRESETS, preset
@@ -26,7 +28,6 @@ from shocklab.singleshock import (
     _disjoint,
     _Separation,
     _separating_front,
-    _widened,
     certify,
     check_main_conditions,
     in_range,
@@ -81,19 +82,14 @@ def bits(report):
             hx(report.final_speed), hx(report.gamma), hx(report.t_tilde), report.events)
 
 
-def margin(v):
-    """in_range's margin at a range end v."""
-    return 1e-12 * (1.0 + abs(v))
-
-
 @st.composite
 def ranges(draw, fl, u0):
     """Left and right ranges built from the lattice values the run can visit:
     split at a gap in either orientation, singletons, ends exactly on a value
-    or a fraction of the margin from it, and overlapping ranges."""
+    or a float step or two from it, and overlapping ranges."""
     lo, hi = u0.lo, u0.hi
     lattice = sorted({*u0.values, *fl.nodes_in(lo, hi)})
-    kind = draw(st.sampled_from(["split", "singleton", "margin", "overlap"]))
+    kind = draw(st.sampled_from(["split", "singleton", "ulp", "overlap"]))
     if kind == "split" and len(lattice) > 1:
         k = draw(st.integers(0, len(lattice) - 2))
         a = (lattice[0], lattice[k])
@@ -101,15 +97,12 @@ def ranges(draw, fl, u0):
     elif kind in ("split", "singleton"):
         a = (draw(st.sampled_from(lattice)),) * 2
         b = (draw(st.sampled_from(lattice)),) * 2
-    elif kind == "margin":
-        # ends a fraction of the margin inside or outside a lattice value
+    elif kind == "ulp":
+        # ends on a lattice value or a float step or two inside or outside it
         k = draw(st.integers(0, len(lattice) - 1))
-        v = lattice[k]
-        frac = draw(st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
-        a = (lattice[0], v + frac * margin(v))
+        a = (lattice[0], ulps(lattice[k], draw(st.integers(-2, 2))))
         b_lo = lattice[min(k + 1, len(lattice) - 1)]
-        b_frac = draw(st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5]))
-        b = (b_lo + b_frac * margin(b_lo), lattice[-1])
+        b = (ulps(b_lo, draw(st.integers(-2, 2))), lattice[-1])
     else:
         i, j = sorted(draw(st.lists(st.sampled_from(lattice), min_size=2, max_size=2)))
         a, b = (lo, j), (i, hi)
@@ -255,27 +248,35 @@ def test_overlapping_ranges_take_the_scan(monkeypatch):
     monkeypatch.setattr(singleshock, "_Separation", Spy)
     fl = mesh("burgers", -3.0, 3.0, 0.25)
     u0 = step([1.0, 0.5, 0.0], [0.0, 1.0])
-    overlapping = [((0.0, 1.0), (0.5, 0.5)), ((0.5, 1.0), (0.0, 0.5)), ((1.0, 1.0), (1.0, 1.0)),
-                   ((0.0, 0.5), (0.5 + 0.5 * margin(0.5), 1.0))]
+    overlapping = [((0.0, 1.0), (0.5, 0.5)), ((0.5, 1.0), (0.0, 0.5)), ((1.0, 1.0), (1.0, 1.0))]
     for left_range, right_range in overlapping:
         assert not _disjoint(left_range, right_range)
         rep = run_until_single_front(init_state(fl, u0), left_range, right_range, 10.0)
         assert bits(rep) == bits(reference_run(init_state(fl, u0), left_range, right_range, 10.0))
     assert built == []
-    run_until_single_front(init_state(fl, u0), (1.0, 1.0), (0.0, 0.0), 10.0)
-    assert built == [((1.0, 1.0), (0.0, 0.0))]
+    # ranges one float step apart share no value: the detector takes them
+    disjoint = [((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.5), (ulps(0.5, 1), 1.0)),
+                ((ulps(0.5, 1), 1.0), (0.0, 0.5))]
+    for left_range, right_range in disjoint:
+        assert _disjoint(left_range, right_range)
+        walk_both(fl, u0, left_range, right_range)
+        rep = run_until_single_front(init_state(fl, u0), left_range, right_range, 10.0)
+        assert bits(rep) == bits(reference_run(init_state(fl, u0), left_range, right_range, 10.0))
+    assert built == disjoint
 
 
 @given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(0, 1e3), st.floats(-1e3, 1e3, allow_nan=False),
        st.floats(0, 1e3))
-@example(0.0, 1.0, 1.000000000004, 1.0)   # the widened ends coincide
+@example(0.0, 1.0, 1.0000000000000002, 1.0)   # the ends one float step apart
+@example(0.0, 1.0, 1.0, 1.0)                  # a shared end
 def test_disjoint_means_no_shared_value(a, wa, b, wb):
-    """No float lies in both ranges once _disjoint holds, margins included:
-    probe the widened ends of both ranges and their float neighbours."""
+    """No float lies in both ranges once _disjoint holds: probe the ends of
+    both ranges and their float neighbours."""
     left_range, right_range = (a, a + wa), (b, b + wb)
     if not _disjoint(left_range, right_range):
+        assert max(a, b) <= min(a + wa, b + wb)   # the overlap holds a shared value
         return
-    for end in (*_widened(left_range), *_widened(right_range)):
+    for end in (*left_range, *right_range):
         for v in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)):
             assert not (in_range(v, left_range) and in_range(v, right_range))
 
