@@ -42,22 +42,15 @@ def solve_riemann(fl: Flux, u_l: float, u_r: float) -> tuple[Front, ...]:
             raise ValidationError("state", f"state {u_l} outside working interval")
         return ()
     # hull checks both states' range and holds f exactly at its nodes, so each
-    # quotient (f(l) - f(r)) / (l - r) is read off it in the same operand order
+    # quotient (f(a) - f(b)) / (a - b) is read off it, the nodes taken in the
+    # fan's left-to-right order
     if u_l < u_r:
         h = hull(fl, u_l, u_r, "lower")
-        nodes, vals = h.breakpoints, h.values
-        fronts = [
-            Front((vals[i] - vals[i + 1]) / (nodes[i] - nodes[i + 1]), nodes[i], nodes[i + 1])
-            for i in range(len(nodes) - 1)
-        ]
+        pts = list(zip(h.breakpoints, h.values))
     else:
         h = hull(fl, u_r, u_l, "upper")
-        nodes, vals = h.breakpoints, h.values
-        fronts = [
-            Front((vals[i + 1] - vals[i]) / (nodes[i + 1] - nodes[i]), nodes[i + 1], nodes[i])
-            for i in reversed(range(len(nodes) - 1))
-        ]
-    return tuple(fronts)
+        pts = list(zip(h.breakpoints, h.values))[::-1]
+    return tuple([Front((fa - fb) / (a - b), a, b) for (a, fa), (b, fb) in zip(pts, pts[1:])])
 
 
 def oleinik_condition_e(fl: Flux, front: Front) -> bool:

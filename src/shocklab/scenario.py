@@ -166,6 +166,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     B = _number(_field(data, "B", "data"), "data.B")
     if A > B:
         raise ValidationError("data.A", "need A <= B")
+    if not math.isfinite(B - A):
+        raise ValidationError("data.B", f"need a finite span B - A, got {B - A}")
     fl = _parse_flux(_field(raw, "flux", "scenario"))
     u_minus = _parse_step(_field(data, "u_minus", "data", 0.0), "data.u_minus", A, B)
     u_plus = _parse_step(_field(data, "u_plus", "data", 0.0), "data.u_plus", A, B)
@@ -288,7 +290,8 @@ def _counterexample_2_flux() -> Flux:
 
     The bridging segment is meant to lie on the chord from its right end a1 to
     (2, f(2)).  It does not on the lattice: in exact arithmetic over the stored
-    nodes, f(2) lies 1.60e-15 above the a1 tangent (ROADMAP item 2).
+    nodes, f(2) lies 1.60e-15 above the a1 tangent (ROADMAP item 5, *Exact
+    verdicts on the lattice*).
     """
     spec = AnalyticFluxSpec(
         "neg_cubic", -3.0, 3.0, 0.05, corners=(-1.5, -1.1, -0.9, 0.0, 2.0)

@@ -435,28 +435,19 @@ def run_until_single_front(
                 t0 = s.t
             run.append((s.t, f.pos(s.t)))
             speed = f.speed
-    if t0 is None:
-        return EmergenceReport(
-            emerged=False,
-            left_range=left_range,
-            right_range=right_range,
-            horizon=t_max,
-            events=s.events_processed,
-        )
-    samples = [p for p in run if p[0] >= t0]
-    last_t, last_x = samples[-1]
-    samples.append((t_max, last_x + speed * (t_max - last_t)))
-    return EmergenceReport(
-        emerged=True,
+    report = EmergenceReport(
+        emerged=t0 is not None,
         left_range=left_range,
         right_range=right_range,
         horizon=t_max,
-        t0=t0,
-        x0=samples[0][1],
-        r_samples=tuple(samples),
-        final_speed=speed,
         events=s.events_processed,
     )
+    if t0 is None:
+        return report
+    samples = [p for p in run if p[0] >= t0]
+    last_t, last_x = samples[-1]
+    samples.append((t_max, last_x + speed * (t_max - last_t)))
+    return replace(report, t0=t0, x0=samples[0][1], r_samples=tuple(samples), final_speed=speed)
 
 
 def certify(

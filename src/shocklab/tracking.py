@@ -12,11 +12,12 @@ Live fronts form a doubly linked chain, left to right.  Collisions of
 neighbours wait in a heap keyed by (time, position, sequence); an entry (a, b)
 is valid while ``a.next is b``, since a dead front is unlinked and a live one
 links only to live ones, so an event costs O(log n) in the number n of live
-fronts: pop, splice the fan into the chain, schedule the two new neighbour
-pairs.  Each event's record holds the fronts that died there and those born
-there, so the log and the live chain are the one record of every front's
-life.  Fans are memoized per (left, right) state pair for the life of a
-SimState, since a fan is a pure function of its two lattice states.
+fronts: pop, then one splice links the fan into the chain and queues every
+new neighbour pair, as it links the initial fans.  Each event's record holds
+the fronts that died there and those born there, so the log and the live
+chain are the one record of every front's life.  Fans are memoized per
+(left, right) state pair for the life of a SimState, since a fan is a pure
+function of its two lattice states.
 
 ``events`` is the one loop that pops and processes collisions, and it takes
 requested snapshot profiles on the way.  ``advance`` and the emergence
@@ -30,7 +31,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .flux import Flux
@@ -94,16 +95,13 @@ class SimState:
         self._seq = itertools.count()
         self._fans: dict = {}
         self._fid = itertools.count()
-        # the left tail: no event changes it, and it is the profile of an empty chain
+        # the left tail: no event changes it, and every profile starts from it
         self._constant_value = u0.values[0]
         # requested snapshot time -> profile there, filled in by events()
         self.snapshots: dict[float, StepFunction | None] = {}
         fronts = [f for i, x in enumerate(u0.positions)
                   for f in self._born(u0.values[i], u0.values[i + 1], x, 0.0)]
-        self.head = fronts[0] if fronts else None
-        for a, b in zip(fronts, fronts[1:]):
-            a.next, b.prev = b, a
-            self._schedule(a, b)
+        self._splice(None, fronts, None)
 
     def __del__(self):
         # break the live chain's back links, so its fronts are freed with the
@@ -142,6 +140,33 @@ class SimState:
         return tuple([_LiveFront(next(self._fid), x, t, w.speed, w.left, w.right) for w in fan])
 
     # -- scheduling --------------------------------------------------------
+
+    def _splice(
+        self, before: _LiveFront | None, born: Iterable[_LiveFront], after: _LiveFront | None
+    ) -> None:
+        """Link ``born`` between ``before`` and ``after``, None standing for an
+        end of the chain, and queue each new pair of neighbours, left to right.
+
+        Pairs inside one fan never meet, since its speeds strictly increase,
+        so ``_schedule`` drops them before pushing.
+        """
+        left = before
+        for f in born:
+            f.prev = left
+            if left is None:
+                self.head = f
+            else:
+                left.next = f
+                self._schedule(left, f)
+            left = f
+        if left is None:
+            self.head = after
+        else:
+            left.next = after
+        if after is not None:
+            after.prev = left
+            if left is not None:
+                self._schedule(left, after)
 
     def _schedule(self, a: _LiveFront, b: _LiveFront) -> None:
         """Queue the collision of neighbours a, b, unless they never meet."""
@@ -191,29 +216,9 @@ class SimState:
             # unlinked, a dead front holds no reference cycle, so a finished
             # state is freed by reference counting, not the cycle collector
             f.prev = f.next = None
-        # splice the born fronts between before and after
-        left = before
-        for f in born:
-            f.prev = left
-            if left is None:
-                self.head = f
-            else:
-                left.next = f
-            left = f
-        if left is None:
-            self.head = after
-        else:
-            left.next = after
-        if after is not None:
-            after.prev = left
+        self._splice(before, born, after)
         rec = EventRecord(t_hit, x_hit, tuple(block), born)
         self.event_log.append(rec)
-        # new adjacencies: block edges only (fan speeds increase, so no inner
-        # events); with nothing born, before and after are the one new pair
-        if before is not None and before.next is not None:
-            self._schedule(before, before.next)
-        if born and after is not None:
-            self._schedule(after.prev, after)
         return rec
 
     # -- queries -----------------------------------------------------------
@@ -235,10 +240,8 @@ class SimState:
     def profile(self, t: float | None = None) -> StepFunction:
         """Piecewise-constant snapshot, zero-width pieces merged."""
         t = self._time(t)
-        if self.head is None:
-            return StepFunction((), (self._constant_value,))
         pos: list[float] = []
-        vals: list[float] = [self.head.left]
+        vals: list[float] = [self._constant_value]
         merged = False
         f = self.head
         while f is not None:

@@ -202,8 +202,13 @@ def test_bisected_nodes_and_hoisted_oleinik_match_scans(case, speed):
 def test_fan_speeds_are_rankine_hugoniot_quotients(case):
     fl, a, b, _ = case
     for l, r in ((a, b), (b, a)):
-        for f in solve_riemann(fl, l, r):
+        fan = solve_riemann(fl, l, r)
+        for f in fan:
             assert bits([f.speed]) == bits([front_speed(fl, f.left, f.right)])
+        # neighbours share a state and speed up strictly, also where the flux
+        # has collinear runs, so no pair inside a fan ever meets
+        for f, g in zip(fan, fan[1:]):
+            assert f.right == g.left and f.speed < g.speed
 
 
 @SETTINGS
@@ -274,6 +279,9 @@ def _check_chain(s, initial):
     born = [f for rec in s.event_log for f in rec.outgoing]
     assert sorted(initial + [f.fid for f in born]) == fids
     assert all(f.t0 == rec.t and f.x0 == rec.x for rec in s.event_log for f in rec.outgoing)
+    # the splice hands every new pair to _schedule, yet two fronts of one fan,
+    # born at one (t, x), never meet, so none of their pairs is queued
+    assert all((a.t0, a.x0) != (b.t0, b.x0) for *_, a, b in s._heap)
 
 
 @SETTINGS

@@ -2,6 +2,7 @@
 none is a module or a private helper, a star import gives exactly them, and
 each one has a job outside the tests."""
 
+import ast
 import inspect
 import re
 import types
@@ -15,9 +16,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # public names with no caller in src/, demos/ or perfbench/ yet, each with the
 # reason it stays
 NO_CALLER_YET = {
-    "compute_alpha0": "base point of the tangent-witness counterexamples (ROADMAP item 3)",
-    "is_characteristic_line": "convex half of the tracked R-curve gate (ROADMAP item 4)",
-    "oleinik_condition_e": "entropy oracle of the Riemann property tests (ROADMAP item 5)",
+    "compute_alpha0": "base point of the tangent-witness counterexamples (ROADMAP item 6, "
+                      "the paper's \"necessary and sufficient\", tested on random fluxes)",
+    "is_characteristic_line": "convex half of the tracked R-curve gate (ROADMAP item 8, "
+                              "Generalized characteristics for non-convex flux)",
+    "oleinik_condition_e": "entropy oracle of the Riemann property tests (ROADMAP item 9, "
+                           "Invariant errors and property tests)",
 }
 
 
@@ -70,6 +74,40 @@ def test_one_owner_per_decision():
     assert not inspect.signature(scenario._counterexample_2_flux).parameters
     # the CLI's flux and data files are read as scenario files are
     assert not hasattr(cli, "_read_fields")
+    # each tracker object is built at one site: one splice writes the chain's
+    # head and queues its new pairs, one formula makes a fan's fronts, and one
+    # constructor makes an emergence report
+    splice = ["SimState._splice"]
+    head_stores = _sites("tracking", lambda n: isinstance(n, ast.Attribute)
+                         and n.attr == "head" and isinstance(n.ctx, ast.Store))
+    assert sorted(set(head_stores)) == splice
+    assert sorted(set(_sites("tracking", _is_call("_schedule")))) == splice
+    assert _sites("riemann", _is_call("Front")) == ["solve_riemann"]
+    assert _sites("singleshock", _is_call("EmergenceReport")) == ["run_until_single_front"]
+
+
+def _is_call(name):
+    """Matches a call of ``name``, as a plain name or an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _sites(module, match):
+    """Dotted name of the class or function around each node of
+    src/shocklab/<module>.py that ``match`` accepts, in source order."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if match(child):
+                found.append(".".join(scope))
+            walk(child, scope)
+
+    walk(ast.parse((ROOT / "src" / "shocklab" / f"{module}.py").read_text()), ())
+    return found
 
 
 def test_every_public_name_has_a_use():

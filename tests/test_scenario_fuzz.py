@@ -118,6 +118,13 @@ NON_FINITE = {
     "negative_seed": (2, ("data", "ubar", "random", "seed"), -1, "data.ubar.random.seed"),
     "huge_steps": (2, ("data", "ubar", "random", "steps"), 10**30, "data.ubar.random.steps"),
     "huge_seed": (2, ("data", "ubar", "random", "seed"), 10**400, "data.ubar.random.seed"),
+    # B - A overflows: the default horizon and the random jump positions would
+    # overflow too, and be blamed on run.t_max and on positions
+    "inf_span_default_t_max": (2, ("data",), {"A": -1e308, "B": 1e308, "u_minus": 0.5},
+                               "data.B"),
+    "inf_span_random_ubar": (1, ("data",), {
+        "A": -1e308, "B": 1e308,
+        "ubar": {"random": {"steps": 3, "lo": 0.0, "hi": 0.5, "seed": 1}}}, "data.B"),
 }
 
 
