@@ -6,6 +6,8 @@ wave front tracking, cross-checks convex cases against the variational
 for flux/data configurations with general non-convex flux.
 """
 
+import importlib
+
 from .errors import ShockLabError
 from .flux import (
     AnalyticFluxSpec,
@@ -18,12 +20,9 @@ from .flux import (
     hull,
     make_flux,
 )
-from .legendre import DualFlux, bidual, legendre_dual
 from .riemann import Front, oleinik_condition_e, solve_riemann
 from .step import StepFunction
 from .tracking import SimState, advance, events, init_state
-from .laxoleinik import CharData, PointValue, solve_pointwise, value_function
-from .characteristics import CharCurve, is_characteristic_line, r_curve
 from .singleshock import (
     ConditionVerdict,
     EmergenceReport,
@@ -52,3 +51,16 @@ __all__ = [
     "check_hypothesis_H", "check_main_conditions", "compute_alpha0", "speed_gap_bound",
     "Scenario", "load_scenario", "preset", "run_scenario",
 ]
+
+# the variational solvers need numpy, so they load on first use (PEP 562)
+_LAZY = {name: module for module, names in (
+    ("legendre", "DualFlux bidual legendre_dual"),
+    ("laxoleinik", "CharData PointValue solve_pointwise value_function"),
+    ("characteristics", "CharCurve is_characteristic_line r_curve"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return object.__getattribute__(importlib.import_module(__name__), name)   # AttributeError

@@ -14,9 +14,6 @@ import sys
 
 from .errors import ShockLabError, ValidationError
 from .flux import make_flux
-from .laxoleinik import value_function
-from .legendre import legendre_dual
-from .characteristics import r_curve
 from .riemann import solve_riemann
 from .scenario import (
     PRESETS, _field, _numbers, load_scenario, preset, read_json, run_batch, run_scenario,
@@ -24,6 +21,7 @@ from .scenario import (
 from .singleshock import certify, check_main_conditions, run_until_single_front
 from .step import StepFunction, step
 from .tracking import init_state
+# dual, laxoleinik and rcurve import the variational solvers, and numpy, as they run
 
 
 def _load_flux(path: str):
@@ -120,15 +118,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "dual":
+        from .legendre import legendre_dual
         print(json.dumps(legendre_dual(_load_flux(args.flux)).to_json(), sort_keys=True))
         return 0
 
     if args.cmd == "laxoleinik":
+        from .laxoleinik import value_function
         cd = value_function(_load_flux(args.flux), _load_step(args.data), args.x, args.t)
         print(json.dumps(cd.to_json(), sort_keys=True))
         return 0
 
     if args.cmd == "rcurve":
+        from .characteristics import r_curve
         curve = r_curve(
             _load_flux(args.flux), _load_step(args.data), args.alpha, args.side, _floats(args.t)
         )

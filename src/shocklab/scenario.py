@@ -18,8 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import Iterator
 
 from .errors import ValidationError
 from .flux import AnalyticFluxSpec, Flux, approximate_pw_affine, make_flux
@@ -58,13 +57,57 @@ class Scenario:
 
 MAX_RANDOM_STEPS = 10**6   # random middle data of a scenario file
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(v: int, h: list[int], mult: int = 0x931E8875) -> int:
+    """SeedSequence's hash of a 32-bit word; steps the hash constant h[0]."""
+    v ^= h[0]
+    h[0] = h[0] * mult & _M32
+    v = v * h[0] & _M32
+    return v ^ v >> 16
+
+
+def _pcg64(seed: int) -> Iterator[int]:
+    """The 64-bit words of numpy's ``PCG64(seed)``: SeedSequence (NEP 19)
+    hashes the seed's 32-bit words, low first, into a pool of four that seeds
+    PCG64 XSL-RR (O'Neill, HMC-CS-2014-0905)."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = [0x43B0D7E5]
+    # the hashed pool, then the words past four, which are mixed in after it
+    pool = [_hashmix(w, h) for w in (words + [0, 0, 0])[:4]] + words[4:]
+    for src in range(len(pool)):
+        for dst in range(4):
+            if dst != src:
+                r = (0xCA01F9DD * pool[dst] - 0x4973F715 * _hashmix(pool[src], h)) & _M32
+                pool[dst] = r ^ r >> 16
+    h = [0x8B51F9DD]
+    out = [_hashmix(pool[i % 4], h, 0x58F38DED) for i in range(8)]
+    s0, s1, s2, s3 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (s2 << 64 | s3) << 1 | 1   # used mod 2**128, like the state
+    state = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc
+    while True:
+        state = state * _PCG_MULT + inc & _M128
+        v = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        yield (v >> rot | v << 64 - rot) & _M64
+
 
 def random_steps(k: int, lo: float, hi: float, seed: int, A: float, B: float) -> StepFunction:
-    """k i.i.d. uniform values at equispaced jumps on (A, B)."""
-    rng = np.random.default_rng(seed)
-    vals = rng.uniform(lo, hi, k)
+    """k i.i.d. uniform values in [lo, hi) at equispaced jumps on (A, B).
+
+    The values are numpy's ``default_rng(seed).uniform(lo, hi, k)`` bit for bit, seeds
+    above 2**64 - 1 included: PCG64 via SeedSequence, each value lo + (hi - lo) u with
+    u = (word >> 11) 2**-53, in Python ints and floats, so the same on every platform."""
+    if not (isinstance(k, int) and k >= 1):
+        raise ValidationError("steps", f"need an integer >= 1, got {k!r}")
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ValidationError("seed", f"need an integer >= 0, got {seed!r}")
+    words = _pcg64(seed)
+    vals = [lo + (hi - lo) * ((next(words) >> 11) * 2**-53) for _ in range(k)]
     pos = [A + (B - A) * i / k for i in range(1, k)]
-    return step([float(v) for v in vals], pos)
+    return step(vals, pos)
 
 
 # -- checked conversion of JSON fields -------------------------------------------
@@ -119,13 +162,15 @@ def _parse_step(obj, field: str, A: float, B: float) -> StepFunction:
     if "random" in obj:
         where = f"{field}.random"
         r = _object(obj["random"], where)
-        return random_steps(
-            _count(_field(r, "steps", where), f"{where}.steps", 1, MAX_RANDOM_STEPS),
-            _number(_field(r, "lo", where), f"{where}.lo"),
-            _number(_field(r, "hi", where), f"{where}.hi"),
-            _count(_field(r, "seed", where), f"{where}.seed", 0, 2**64 - 1),
-            A, B,
-        )
+        k = _count(_field(r, "steps", where), f"{where}.steps", 1, MAX_RANDOM_STEPS)
+        if not math.isfinite((B - A) * (k - 1)):   # the jumps A + (B - A) i / k
+            raise ValidationError("data.B", f"(B - A) * {k - 1} overflows, with B - A = {B - A}")
+        lo = _number(_field(r, "lo", where), f"{where}.lo")
+        hi = _number(_field(r, "hi", where), f"{where}.hi")
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise ValidationError(f"{where}.hi", f"need lo <= hi, finite hi - lo; got [{lo}, {hi}]")
+        seed = _count(_field(r, "seed", where), f"{where}.seed", 0, 2**64 - 1)
+        return random_steps(k, lo, hi, seed, A, B)
     return step(
         _numbers(_field(obj, "values", field), f"{field}.values"),
         _numbers(_field(obj, "positions", field), f"{field}.positions"),
@@ -183,6 +228,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             for k in ("a1", "a2", "C", "D", "b2", "b1")
         ))
     run = _object(_field(raw, "run", "scenario", {}), "run")
+    if "t_max" not in run and not math.isfinite(100.0 * (B - A)):
+        raise ValidationError("data.B", "the default horizon 100 (B - A) overflows; set run.t_max")
     t_max = _number(_field(run, "t_max", "run", 100.0 * max(B - A, 1.0)), "run.t_max")
     snapshots = tuple(_numbers(_field(run, "snapshots", "run", []), "run.snapshots"))
     for v in (*u_minus.values, *u_plus.values, *ubar.values):

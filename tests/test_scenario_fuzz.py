@@ -125,6 +125,17 @@ NON_FINITE = {
     "inf_span_random_ubar": (1, ("data",), {
         "A": -1e308, "B": 1e308,
         "ubar": {"random": {"steps": 3, "lo": 0.0, "hi": 0.5, "seed": 1}}}, "data.B"),
+    # B - A is finite, but 100 (B - A) and (B - A) * 2 overflow
+    "huge_span_default_t_max": (2, ("data",), {"A": 0, "B": 1e307, "u_minus": 0.5}, "data.B"),
+    "huge_span_random_ubar": (1, ("data",), {
+        "A": -5e307, "B": 1e308,
+        "ubar": {"random": {"steps": 3, "lo": 0.0, "hi": 0.5, "seed": 1}}}, "data.B"),
+    "reversed_random_range": (2, ("data", "ubar", "random"),
+                              {"steps": 3, "lo": 1.0, "hi": 0.0, "seed": 1},
+                              "data.ubar.random.hi"),
+    "overflowing_random_range": (2, ("data", "ubar", "random"),
+                                 {"steps": 3, "lo": -1e308, "hi": 1e308, "seed": 1},
+                                 "data.ubar.random.hi"),
 }
 
 
