@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .flux import Flux
-from .laxoleinik import _check_finite, _check_time, _Objective, _Primitive, value_function
-from .legendre import legendre_dual
+# value_function and legendre_dual are not called here; perfbench/tracer.py patches them
+from .laxoleinik import _check_finite, _check_time, _Objective, value_function  # noqa: F401
+from .legendre import legendre_dual  # noqa: F401
 from .step import StepFunction
 
 
@@ -90,17 +91,18 @@ def is_characteristic_line(
 ) -> bool:
     """Finite-horizon test that the ray from (a, 0) with speed p_slope stays
     inside the minimizer set of every point it passes through, checked at
-    eight equispaced times up to the horizon."""
+    eight equispaced times up to the horizon, as the rows of one candidate
+    matrix whose last column is the ray's foot a."""
     _check_time(horizon)
-    dual = legendre_dual(fl)
-    v0 = _Primitive(u0)
-    for k in range(1, 9):
-        t = horizon * k / 8
-        cd = value_function(fl, u0, a + p_slope * t, t)
-        p = (cd.x - a) / t
-        if p < dual.lo - 1e-12 or p > dual.hi + 1e-12:
-            return False
-        phi = v0(a) + t * dual(min(max(p, dual.lo), dual.hi))
-        if phi > cd.value + 1e-9 * (1.0 + abs(cd.value)):
-            return False
-    return True
+    _check_finite("a", a)
+    _check_finite("p_slope", p_slope)
+    objective = _Objective(fl, u0)
+    t = horizon * np.arange(1, 9) / 8
+    x = a + p_slope * t
+    objective.window(x[-1], t[-1])
+    if any(objective.dual.outside(p) for p in (x - a) / t):
+        return False
+    ys, valid = objective.candidates(x, t)
+    ys = np.concatenate([ys, np.full((len(t), 1), a)], axis=1)
+    valid = np.concatenate([valid, np.ones((len(t), 1), dtype=bool)], axis=1)
+    return bool(objective.ties(x, t, ys, valid)[1][:, -1].all())

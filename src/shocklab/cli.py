@@ -59,10 +59,10 @@ def main(argv=None) -> int:
     def add_scenario_flags(p):
         p.add_argument("--scenario", help="scenario JSON path")
         p.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario")
-        p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("solve", help="run a scenario and write its artifacts")
     add_scenario_flags(p)
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--t", help="extra snapshot times, comma separated")
 
     p = sub.add_parser("riemann", help="print the fan of a single jump")

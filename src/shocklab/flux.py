@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 from .errors import ValidationError
 
 SLOPE_TOL = 1e-12  # absolute tolerance on slope comparisons
+HULL_TOL = 1e-12   # hull's cross-product tolerance, relative to the interval and max|f|
 MAX_FLUX_NODES = 10**6   # grid nodes of one sampled analytic flux
 
 
@@ -76,7 +77,7 @@ class Flux:
         ends, which rounding can lift past max|f|.
         """
         bp, vals = self.breakpoints, self.values
-        tmax = 2e-12 * self._scale * (1.0 + max(map(abs, vals)))
+        tmax = 2 * HULL_TOL * self._scale * (1.0 + max(map(abs, vals)))
         start, shape = [0], [0.0]
         for k in range(1, len(bp) - 1):
             c = _cross((bp[k - 1], vals[k - 1]), (bp[k], vals[k]), (bp[k + 1], vals[k + 1]))
@@ -321,7 +322,7 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
             # On the exact run every cross (a, node, next) the chain takes
             # is <= 0.  Rounding f(a) and f(b) adds up to about 1e-15 (b - a)
             # times the far nodal values of their segments, which must stay
-            # below tol = 1e-12 _scale (1 + max|f| over [a, b]); a steep end
+            # below tol = HULL_TOL _scale (1 + max|f| over [a, b]); a steep end
             # segment can lift f(a) above its next node and keep that node.
             if abs(vals[lo - 1]) + abs(vals[hi]) <= 128.0 * (1.0 + max(abs(fa), abs(fb))):
                 return Flux((a, b), (fa, fb))
@@ -334,7 +335,7 @@ def hull(fl: Flux, a: float, b: float, side: str = "lower") -> Flux:
                 return Flux((a, *bp[lo:hi], b), (fa, *vals[lo:hi], fb))
     # f at a breakpoint is its nodal value, so the interior nodes need no evaluation
     pts = [(a, fa), *zip(bp[lo:hi], vals[lo:hi]), (b, fb)]
-    tol = 1e-12 * fl._scale * (1.0 + max(abs(p[1]) for p in pts))
+    tol = HULL_TOL * fl._scale * (1.0 + max(abs(p[1]) for p in pts))
     chain: list[tuple[float, float]] = []
     for p in pts:
         while len(chain) >= 2 and sgn * _cross(chain[-2], chain[-1], p) <= tol:

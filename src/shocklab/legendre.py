@@ -46,9 +46,13 @@ class DualFlux:
         has |x - y| > p0 t: past the dual domain the conjugate is +inf."""
         return max(1.0, abs(self.lo), abs(self.hi))
 
-    def _clamp(self, p: float) -> float:
+    def outside(self, p: float) -> bool:
+        """p beyond the dual domain by more than a margin relative to its ends."""
         tol = 1e-12 * (1.0 + max(abs(self.lo), abs(self.hi)))
-        if p < self.lo - tol or p > self.hi + tol:
+        return p < self.lo - tol or p > self.hi + tol
+
+    def _clamp(self, p: float) -> float:
+        if self.outside(p):
             raise ValidationError("p", f"slope {p} outside dual domain [{self.lo}, {self.hi}]")
         return min(max(p, self.lo), self.hi)
 

@@ -47,9 +47,13 @@ class Scenario:
             raise ValidationError("name", f"need a plain file name, got {n!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValidationError("run.t_max", f"need a finite positive horizon, got {self.t_max}")
+        files: dict[str, float] = {}
         for t in self.snapshots:
             if not (math.isfinite(t) and t >= 0):
                 raise ValidationError("run.snapshots", f"need finite times >= 0, got {t}")
+            file = _profile_name(n, t)
+            if files.setdefault(file, t) != t:
+                raise ValidationError("run.snapshots", f"{files[file]!r} and {t!r} share {file}")
 
     def initial_data(self) -> StepFunction:
         return assemble_initial_data(self.A, self.B, self.u_minus, self.ubar, self.u_plus)
@@ -156,25 +160,37 @@ def _count(v, field: str, least: int, most: float = math.inf) -> int:
     return v
 
 
-def _parse_step(obj, field: str, A: float, B: float) -> StepFunction:
+def _parse_step(obj, field: str) -> StepFunction:
     if not isinstance(obj, dict):
         return constant(_number(obj, field))
-    if "random" in obj:
-        where = f"{field}.random"
-        r = _object(obj["random"], where)
-        k = _count(_field(r, "steps", where), f"{where}.steps", 1, MAX_RANDOM_STEPS)
-        if not math.isfinite((B - A) * (k - 1)):   # the jumps A + (B - A) i / k
-            raise ValidationError("data.B", f"(B - A) * {k - 1} overflows, with B - A = {B - A}")
-        lo = _number(_field(r, "lo", where), f"{where}.lo")
-        hi = _number(_field(r, "hi", where), f"{where}.hi")
-        if not (lo <= hi and math.isfinite(hi - lo)):
-            raise ValidationError(f"{where}.hi", f"need lo <= hi, finite hi - lo; got [{lo}, {hi}]")
-        seed = _count(_field(r, "seed", where), f"{where}.seed", 0, 2**64 - 1)
-        return random_steps(k, lo, hi, seed, A, B)
+    if "random" in obj:   # its jumps would fall in (A, B), where a tail is not read
+        raise ValidationError(f"{field}.random", "only data.ubar takes a random recipe")
     return step(
         _numbers(_field(obj, "values", field), f"{field}.values"),
         _numbers(_field(obj, "positions", field), f"{field}.positions"),
     )
+
+
+def _parse_ubar(obj, A: float, B: float) -> StepFunction:
+    """data.ubar, which alone takes a random recipe; the recipe's jumps must
+    be distinct and inside (A, B), which is checked before any value is drawn."""
+    if not (isinstance(obj, dict) and "random" in obj):
+        return _parse_step(obj, "data.ubar")
+    where = "data.ubar.random"
+    r = _object(obj["random"], where)
+    k = _count(_field(r, "steps", where), f"{where}.steps", 1, MAX_RANDOM_STEPS)
+    if not math.isfinite((B - A) * (k - 1)):
+        raise ValidationError("data.B", f"(B - A) * {k - 1} overflows, with B - A = {B - A}")
+    jumps = [A + (B - A) * i / k for i in range(1, k)]   # as random_steps places them
+    if jumps and not all(x < y for x, y in zip((A, *jumps), (*jumps, B))):
+        raise ValidationError("data.ubar" if A == B else "data.B",
+                              f"[A, B] = [{A}, {B}] has no room for {k - 1} distinct jumps")
+    lo = _number(_field(r, "lo", where), f"{where}.lo")
+    hi = _number(_field(r, "hi", where), f"{where}.hi")
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise ValidationError(f"{where}.hi", f"need lo <= hi, finite hi - lo; got [{lo}, {hi}]")
+    seed = _count(_field(r, "seed", where), f"{where}.seed", 0, 2**64 - 1)
+    return random_steps(k, lo, hi, seed, A, B)
 
 
 def _parse_flux(obj) -> Flux:
@@ -214,9 +230,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if not math.isfinite(B - A):
         raise ValidationError("data.B", f"need a finite span B - A, got {B - A}")
     fl = _parse_flux(_field(raw, "flux", "scenario"))
-    u_minus = _parse_step(_field(data, "u_minus", "data", 0.0), "data.u_minus", A, B)
-    u_plus = _parse_step(_field(data, "u_plus", "data", 0.0), "data.u_plus", A, B)
-    ubar = _parse_step(_field(data, "ubar", "data", 0.0), "data.ubar", A, B)
+    u_minus = _parse_step(_field(data, "u_minus", "data", 0.0), "data.u_minus")
+    u_plus = _parse_step(_field(data, "u_plus", "data", 0.0), "data.u_plus")
+    ubar = _parse_ubar(_field(data, "ubar", "data", 0.0), A, B)
     if A == B and ubar.positions:
         raise ValidationError("data.ubar", "A == B leaves no room for middle data")
     hp = None
@@ -362,6 +378,10 @@ def preset(name: str) -> Scenario:
 # execution and artifacts
 # ---------------------------------------------------------------------------
 
+def _profile_name(name: str, t: float) -> str:
+    return f"{name}_profile_t{t:g}.csv"
+
+
 def _profile_csv(profile: StepFunction) -> str:
     lines = ["x_left,x_right,value"]
     for lo, hi, v in profile.pieces():
@@ -466,7 +486,7 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     advance(state, max((s.t_max, *s.snapshots)))
     laps["finish"] = time.perf_counter()
     for t in sorted(s.snapshots):
-        (out / f"{s.name}_profile_t{t:g}.csv").write_text(_profile_csv(state.snapshots[t]))
+        (out / _profile_name(s.name, t)).write_text(_profile_csv(state.snapshots[t]))
 
     _write_logs(state, out, s.name)
     laps["artifacts"] = time.perf_counter()

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .errors import BoundViolated, ValidationError
-from .flux import Flux, TripletClass, classify_triplet, eval_chord, eval_tangent
+from .flux import SLOPE_TOL, Flux, TripletClass, classify_triplet, eval_chord, eval_tangent
 from .step import StepFunction, assemble_initial_data
 from .tracking import SimState, _LiveFront, events, init_state
 
@@ -132,7 +132,7 @@ def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
     def preimage_check(lo_band, x_lo, x_hi, region, label):
         for x in region:
             s = fl.left_slope(x)
-            in_band = lo_band[0] - 1e-12 <= s <= lo_band[1] + 1e-12
+            in_band = lo_band[0] - SLOPE_TOL <= s <= lo_band[1] + SLOPE_TOL
             in_interval = x_lo <= x <= x_hi
             if in_band != in_interval:
                 failures.append(Witness(label, x, s, lo_band[0], False))
@@ -212,23 +212,20 @@ def compute_alpha0(fl: Flux, beta2: float, hi: float | None = None) -> float:
     The tangent-line value at beta2 is constant on each flux segment, so the
     gap function is a nondecreasing step over segments: return a point of an
     exactly-tangent segment when one exists, otherwise the breakpoint where
-    the gap changes sign.  The base point lies in [fl.lo, hi], hi defaulting
-    to beta2.
+    the gap changes sign; exactly means within ``_strict_less``'s boundary
+    tolerance.  The base point lies in [fl.lo, hi], hi defaulting to beta2.
     """
     hi = beta2 if hi is None else hi
     target = fl(beta2)
-    scale = 1.0 + abs(target)
-    gaps: list[tuple[float, float, float]] = []   # (segment left, segment right, gap)
-    for i, s in enumerate(fl.slopes):
-        x0, x1 = fl.breakpoints[i], fl.breakpoints[i + 1]
+    gaps: list[tuple[float, float]] = []   # (segment left, gap)
+    for x0, x1 in zip(fl.breakpoints, fl.breakpoints[1:]):
         if x0 >= hi:
             continue
-        gap = fl(x1) + s * (beta2 - x1) - target
-        gaps.append((x0, x1, gap))
-    for x0, x1, gap in gaps:
-        if abs(gap) <= 1e-8 * scale:
+        line = eval_tangent(fl, x1, beta2)
+        if _strict_less(line, target)[1]:
             return 0.5 * (x0 + x1)
-    for (l0, l1, g0), (r0, r1, g1) in zip(gaps, gaps[1:]):
+        gaps.append((x0, line - target))
+    for (_, g0), (r0, g1) in zip(gaps, gaps[1:]):
         if g0 < 0 <= g1:
             return r0
     raise ValidationError(

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import mesh, random_step, refused
+from conftest import mesh, random_problem, random_step, refused
 from shocklab.characteristics import is_characteristic_line, r_curve
 from shocklab.flux import make_flux
+from shocklab.laxoleinik import _Primitive, value_function
+from shocklab.legendre import legendre_dual
 from shocklab.step import constant, step
 from shocklab.tracking import advance, init_state
 
@@ -145,3 +149,55 @@ def test_characteristic_line_fan_center_ray():
 def test_characteristic_line_needs_finite_positive_horizon(horizon):
     with refused("t"):
         is_characteristic_line(V_FLUX, RAREFACTION, 0.0, 0.0, horizon)
+
+
+@pytest.mark.parametrize("field, a, p_slope", [("a", math.nan, 0.0), ("p_slope", 0.0, math.inf)])
+def test_characteristic_line_needs_a_finite_ray(field, a, p_slope):
+    with refused(field):
+        is_characteristic_line(V_FLUX, RAREFACTION, a, p_slope, 1.0)
+
+
+def test_characteristic_line_domain_margin_is_the_duals():
+    # slopes past the dual's end hi = 3e6 by less than its relative margin:
+    # the dual accepts them, and so does the ray test, where constant data
+    # 1.5 moves at speed hi
+    fl = make_flux([-2, -1, 0, 1, 2], [4e6, 1e6, 0, 1e6, 4e6])
+    dual = legendre_dual(fl)
+    for p in (dual.hi * (1 + 1e-15), dual.hi + 1e-9):
+        assert dual(p) == dual(dual.hi)
+        assert is_characteristic_line(fl, constant(1.5), 0.0, p, 1.0)
+
+
+def scalar_is_characteristic_line(fl, u0, a, p_slope, horizon):
+    """The ray test one time at a time, through value_function and the
+    scalar dual: the oracle of the candidate-matrix version."""
+    dual = legendre_dual(fl)
+    v0 = _Primitive(u0)
+    for k in range(1, 9):
+        t = horizon * k / 8
+        cd = value_function(fl, u0, a + p_slope * t, t)
+        p = (cd.x - a) / t
+        if p < dual.lo - 1e-12 or p > dual.hi + 1e-12:
+            return False
+        phi = v0(a) + t * dual(min(max(p, dual.lo), dual.hi))
+        if phi > cd.value + 1e-9 * (1.0 + abs(cd.value)):
+            return False
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 299), st.data())
+def test_characteristic_line_matches_scalar_oracle(seed, data):
+    # rays from a data jump, at the slope of either neighbouring state or
+    # inside the fan between them, kept off the ends of the dual domain
+    fl, u0 = random_problem(seed, convex=True)
+    dual = legendre_dual(fl)
+    k = data.draw(st.integers(0, len(u0.positions) - 1))
+    s_left, s_right = (fl.left_slope(v) for v in u0.values[k:k + 2])
+    frac = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    p = s_left + frac * (s_right - s_left)
+    assume(dual.lo < p < dual.hi)
+    a = u0.positions[k]
+    horizon = data.draw(st.sampled_from([0.3, 2.0]))
+    got = is_characteristic_line(fl, u0, a, p, horizon)
+    assert got == scalar_is_characteristic_line(fl, u0, a, p, horizon)

@@ -235,6 +235,15 @@ def test_cli_config_error(capsys):
     assert capsys.readouterr().err.startswith("error: --scenario: ")
 
 
+@pytest.mark.parametrize("cmd", ["check", "certify"])
+def test_out_is_not_an_option_of_commands_that_write_nothing(tmp_path, capsys, cmd):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main([cmd, "--preset", "burgers_shock", "--out", str(tmp_path / "x")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_check_without_hypothesis_exits_2(tmp_path, capsys):
     path = tmp_path / "mini.json"
     path.write_text(json.dumps(MINIMAL))

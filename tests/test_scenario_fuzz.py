@@ -146,6 +146,27 @@ def test_non_finite_or_out_of_range_field_names_the_field(tmp_path, capsys, case
     assert err.startswith(f"error: {field}: ")
 
 
+RANDOM_TAIL = {"random": {"steps": 4, "lo": 0.0, "hi": 1.0, "seed": 1}}
+# inputs that used to run and silently lose data, or fail naming no field
+LOSSY = {
+    # both times print as t1 and would write one profile file
+    "snapshots_sharing_a_file": (0, ("run", "snapshots"), [1.0, 1.000001], "run.snapshots"),
+    # a tail's random jumps fall in (A, B), where the tail is not read
+    "random_u_minus": (0, ("data", "u_minus"), RANDOM_TAIL, "data.u_minus.random"),
+    "random_u_plus": (0, ("data", "u_plus"), RANDOM_TAIL, "data.u_plus.random"),
+    # three random steps need two distinct jumps inside (A, B)
+    "random_ubar_on_equal_ends": (2, ("data", "B"), 0.0, "data.ubar"),
+    "random_ubar_on_tiny_span": (2, ("data", "B"), 1e-323, "data.B"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSSY))
+def test_input_that_would_lose_data_names_the_field(tmp_path, capsys, case):
+    base, path, value, field = LOSSY[case]
+    err = _check_rejected(_with(BASES[base], path, value), tmp_path, capsys)
+    assert err.startswith(f"error: {field}: ")
+
+
 BAD_NAMES = ["../escaped", "a/b", "..", ".", "", "a\\b", "a\x00b", "/tmp/abs", 7, None]
 
 

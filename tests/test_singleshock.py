@@ -154,6 +154,20 @@ def test_alpha0_exact_on_degenerate_lattice():
     assert abs(res) <= 1e-8 * 9.0
 
 
+def test_alpha0_exact_tangency_is_the_checkers_boundary():
+    # f(2) lowered by 2e-8: the checker finds the a1 tangent strictly above
+    # f(2), with no boundary witness, so the bridging segment [-1.1, -0.9]
+    # is not exactly tangent either and alpha0 is its sign-change node
+    base = _counterexample_2_flux()
+    values = list(base.values)
+    values[base.breakpoints.index(2.0)] -= 2e-8
+    fl = make_flux(base.breakpoints, values)
+    verdict = check_main_conditions(fl, HypothesisParams(-0.9, -0.9, 0.0, 0.0, 2.0, 2.0))
+    assert verdict.kind is VerdictKind.SATISFIED_II1 and verdict.witnesses == ()
+    assert compute_alpha0(fl, 2.0, hi=0.0) == -1.1
+    assert compute_alpha0(base, 2.0, hi=0.0) == -1.0
+
+
 def test_alpha0_no_root_for_convex():
     with refused("beta2"):
         compute_alpha0(burgers(), 1.0, hi=0.0)
@@ -181,7 +195,9 @@ def test_cli_middle_equal_to_left_state(tmp_path, capsys, cmd):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert cli_main([cmd, "--scenario", str(path), "--out", str(out)]) == 0
+    # only solve writes files, so only solve takes --out
+    where = ["--out", str(out)] if cmd == "solve" else []
+    assert cli_main([cmd, "--scenario", str(path), *where]) == 0
     if cmd == "certify":
         report = json.loads(capsys.readouterr().out)
     else:
