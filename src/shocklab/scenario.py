@@ -12,6 +12,7 @@ and the logs all come from one walk of one SimState.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -401,40 +402,32 @@ def _num(v: float) -> str:
 def _write_logs(state: SimState, out: Path, name: str) -> None:
     """Stream the event log and the front table in one walk of ``state.event_log``.
 
-    Each NDJSON line equals ``json.dumps(rec.to_json(), sort_keys=True)``.  Fids
-    are dense: the initial fronts first, then the born ones in log order.  So
-    once each front's end time is known, the table rows of the fronts born at a
-    record follow that record in fid order and reuse its printed t and x.  A
-    front's JSON object is made at its birth and reused at its death.
+    Each NDJSON line equals ``json.dumps(rec.to_json(), sort_keys=True)``.  The
+    table numbers fronts in birth order, the initial chain first, so the rows of
+    the fronts born at a record follow that record and reuse its printed t and
+    x.  A front's JSON object is made at its birth and reused at its death.
     """
-    log = state.event_log
-    live = state.fronts
-    n = len(live) + sum(len(rec.incoming) for rec in log)
-    fronts, ends = [None] * n, [state.t] * n
-    for f in live:
-        fronts[f.fid] = f
-    for rec in log:
-        for f in rec.incoming:
-            fronts[f.fid], ends[f.fid] = f, rec.t
-    packed: dict = {}   # fid of a live front -> its JSON object
+    ends = {f: rec.t for rec in state.event_log for f in rec.incoming}   # live ones end at state.t
+    packed: dict = {}   # live front -> its JSON object
+    ids = itertools.count()
 
     def pack(f) -> str:
         return '{"l": %s, "r": %s, "s": %s}' % (_num(f.left), _num(f.right), _num(f.speed))
 
     with (out / f"{name}_events.ndjson").open("w") as ev, (out / f"{name}_fronts.csv").open("w") as tb:
         tb.write("front_id,t,x\n")
-        for f in fronts[:n - sum(len(rec.outgoing) for rec in log)]:   # the initial fronts
-            te = ends[f.fid]
-            tb.write(f"{f.fid},{f.t0!r},{f.x0!r}\n{f.fid},{te!r},{f.pos(te)!r}\n")
-        for rec in log:
+        for f in state.initial:
+            i, te = next(ids), ends.get(f, state.t)
+            tb.write(f"{i},{f.t0!r},{f.x0!r}\n{i},{te!r},{f.pos(te)!r}\n")
+        for rec in state.event_log:
             t, x = _num(rec.t), _num(rec.x)
-            dead = ", ".join([packed.pop(f.fid, None) or pack(f) for f in rec.incoming])
+            dead = ", ".join([packed.pop(f, None) or pack(f) for f in rec.incoming])
             born = []
             for f in rec.outgoing:
-                packed[f.fid] = p = pack(f)
+                packed[f] = p = pack(f)
                 born.append(p)
-                te = ends[f.fid]
-                tb.write(f"{f.fid},{t},{x}\n{f.fid},{te!r},{f.pos(te)!r}\n")
+                i, te = next(ids), ends.get(f, state.t)
+                tb.write(f"{i},{t},{x}\n{i},{te!r},{f.pos(te)!r}\n")
             ev.write(f'{{"in": [{dead}], "out": [{", ".join(born)}], "t": {t}, "x": {x}}}\n')
 
 
@@ -447,7 +440,10 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     """
     t_start = time.perf_counter()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:   # e.g. a file where a directory should be
+        raise ValidationError("out_dir", e) from None
     state = init_state(s.flux, s.initial_data())
     state.snapshots = dict.fromkeys(s.snapshots)   # filled in by the walk
     laps = {"init": time.perf_counter()}   # phase -> clock at its end

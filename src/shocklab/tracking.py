@@ -44,7 +44,6 @@ MAX_EVENTS = 10 ** 6
 
 @dataclass(slots=True, eq=False)
 class _LiveFront:
-    fid: int
     x0: float
     t0: float
     speed: float
@@ -94,14 +93,14 @@ class SimState:
         self._heap: list[tuple[float, float, int, _LiveFront, _LiveFront]] = []
         self._seq = itertools.count()
         self._fans: dict = {}
-        self._fid = itertools.count()
         # the left tail: no event changes it, and every profile starts from it
         self._constant_value = u0.values[0]
         # requested snapshot time -> profile there, filled in by events()
         self.snapshots: dict[float, StepFunction | None] = {}
-        fronts = [f for i, x in enumerate(u0.positions)
-                  for f in self._born(u0.values[i], u0.values[i + 1], x, 0.0)]
-        self._splice(None, fronts, None)
+        # the starting chain, left to right; each front of it is live or in a record
+        self.initial = [f for i, x in enumerate(u0.positions)
+                        for f in self._born(u0.values[i], u0.values[i + 1], x, 0.0)]
+        self._splice(None, self.initial, None)
 
     def __del__(self):
         # break the live chain's back links, so its fronts are freed with the
@@ -137,7 +136,7 @@ class SimState:
         fan = self._fans.get(key)
         if fan is None:
             fan = self._fans[key] = solve_riemann(self.flux, l, r)
-        return tuple([_LiveFront(next(self._fid), x, t, w.speed, w.left, w.right) for w in fan])
+        return tuple([_LiveFront(x, t, w.speed, w.left, w.right) for w in fan])
 
     # -- scheduling --------------------------------------------------------
 
@@ -272,7 +271,8 @@ def events(s: SimState, t_until: float) -> Iterator[EventRecord]:
 
     Every requested snapshot time t in [s.t, t_until] still without a profile
     gets ``s.profile(t)``, taken after each event at or before t and before
-    any later one.  Run to the end, the walk leaves ``s.t = t_until``.
+    any later one.  Run to the end, the walk leaves ``s.t = t_until``; an endless
+    walk stops at its last collision, after which the chain holds for every t.
     """
     if not t_until >= s.t:   # also rejects NaN
         raise ValidationError("t_until", f"cannot walk from t={s.t} to {t_until}")
@@ -285,7 +285,8 @@ def events(s: SimState, t_until: float) -> Iterator[EventRecord]:
             yield s._process(*head)
         if k < len(due):
             s.snapshots[stop] = s.profile(stop)
-    s.t = t_until
+    if t_until < math.inf:
+        s.t = t_until
 
 
 def advance(s: SimState, t_target: float) -> StepFunction:

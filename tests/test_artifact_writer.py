@@ -1,10 +1,11 @@
 """The one-pass log writer of ``run_scenario`` against the encoders it replaces.
 
-``scenario._write_logs`` formats each event record directly and fills the
-front table from fid-indexed slots.  Its bytes must equal one
+``scenario._write_logs`` formats each event record directly and numbers the
+front table's rows as it writes them.  Its bytes must equal one
 ``json.dumps(rec.to_json(), sort_keys=True)`` line per record, and the table
-the sorted ``(front, end time)`` list gives, on random problems with convex
-and non-convex flux, live fronts or none, and signed zeros among the states.
+of every front in birth order (the initial chain, then each record's born
+fronts) with its end time, on random problems with convex and non-convex
+flux, live fronts or none, and signed zeros among the states.
 """
 
 import json
@@ -25,11 +26,16 @@ def oracle_logs(state) -> tuple[str, str]:
     """The event log and the front table, as written before the one-pass writer."""
     events = "".join(json.dumps(rec.to_json(), sort_keys=True) + "\n" for rec in state.event_log)
     table = ["front_id,t,x\n"]
-    # each front once: dead at the time of the record listing it, or live at state.t
-    dead = [(f, rec.t) for rec in state.event_log for f in rec.incoming]
-    for f, t_end in sorted(dead + [(f, state.t) for f in state.fronts], key=lambda p: p[0].fid):
-        table.append(f"{f.fid},{f.t0!r},{f.x0!r}\n")
-        table.append(f"{f.fid},{t_end!r},{f.pos(t_end)!r}\n")
+    # fronts in birth order: the initial chain, then each record's born ones
+    born = state.initial + [f for rec in state.event_log for f in rec.outgoing]
+    # each ends once: dead at the time of the record listing it, or live at state.t
+    dead = {id(f): rec.t for rec in state.event_log for f in rec.incoming}
+    live = {id(f) for f in state.fronts}
+    assert len(born) == len(dead) + len(live) and not dead.keys() & live
+    for i, f in enumerate(born):
+        t_end = dead.get(id(f), state.t)
+        table.append(f"{i},{f.t0!r},{f.x0!r}\n")
+        table.append(f"{i},{t_end!r},{f.pos(t_end)!r}\n")
     return events, "".join(table)
 
 
@@ -80,7 +86,7 @@ def test_writer_refuses_non_finite_numbers(tmp_path, field, bad):
         rec[field] = bad
     else:
         front[field] = bad
-    dead = _LiveFront(1, 0.0, 0.0, front["speed"], front["left"], front["right"])
+    dead = _LiveFront(0.0, 0.0, front["speed"], front["left"], front["right"])
     state.event_log.append(EventRecord(rec["t"], rec["x"], (dead,), ()))
     with pytest.raises(ValidationError) as err:
         _write_logs(state, tmp_path, "case")

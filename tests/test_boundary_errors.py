@@ -282,6 +282,20 @@ def test_cli_solve_text_snapshot_option_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under_file"])
+@pytest.mark.parametrize("cmd", ["solve", "batch"])
+def test_cli_out_at_a_file_exits_2(tmp_path, capsys, cmd, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "out"
+    scenario = _write(tmp_path, "s.json", json.dumps({"preset": "burgers_shock"}))
+    args = ["--preset", "burgers_shock"] if cmd == "solve" else [scenario]
+    assert cli_main([cmd, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out_dir: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 # band ends of the hypothesis: left slopes exist on (flux.lo, flux.hi]
 BAND_ENDS = [("a1", -3.0, 2), ("a1", -5.0, 2), ("b1", 3.5, 2), ("b1", 3.0, 3)]
 

@@ -259,7 +259,7 @@ def test_fan_memo_keeps_the_sign_of_zero():
 
 
 def _check_chain(s, initial):
-    """``initial``: the fids of init_state's chain."""
+    """``initial``: init_state's chain, as it was before any event."""
     fronts = s.fronts
     assert s.head is (fronts[0] if fronts else None)
     for i, f in enumerate(fronts):
@@ -272,12 +272,13 @@ def _check_chain(s, initial):
     # that accounts for every front ever made, once
     dead = [f for rec in s.event_log for f in rec.incoming]
     assert all(f.prev is None and f.next is None for f in dead)
-    fids = sorted(f.fid for f in dead + fronts)
-    assert fids == list(range(len(fids)))
+    ever = {id(f) for f in dead + fronts}
+    assert len(ever) == len(dead) + len(fronts)
     # and each front is born once: in init_state's chain, or in the record
     # of the event it leaves, at that event's time and place
-    born = [f for rec in s.event_log for f in rec.outgoing]
-    assert sorted(initial + [f.fid for f in born]) == fids
+    assert len(s.initial) == len(initial) and all(a is b for a, b in zip(s.initial, initial))
+    born = initial + [f for rec in s.event_log for f in rec.outgoing]
+    assert len({id(f) for f in born}) == len(born) and {id(f) for f in born} == ever
     assert all(f.t0 == rec.t and f.x0 == rec.x for rec in s.event_log for f in rec.outgoing)
     # the splice hands every new pair to _schedule, yet two fronts of one fan,
     # born at one (t, x), never meet, so none of their pairs is queued
@@ -290,7 +291,7 @@ def _check_chain(s, initial):
 def test_chain_links_follow_front_order(seed, convex):
     fl, u0 = random_problem(seed, convex)
     s = init_state(fl, u0)
-    initial = [f.fid for f in s.fronts]
+    initial = s.fronts
     _check_chain(s, initial)
     for _ in events(s, 50.0):
         _check_chain(s, initial)

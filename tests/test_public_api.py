@@ -3,6 +3,7 @@ none is a module or a private helper, a star import gives exactly them, and
 each one has a job outside the tests."""
 
 import ast
+import dataclasses
 import inspect
 import re
 import types
@@ -84,6 +85,13 @@ def test_one_owner_per_decision():
     assert sorted(set(_sites("tracking", _is_call("_schedule")))) == splice
     assert _sites("riemann", _is_call("Front")) == ["solve_riemann"]
     assert _sites("singleshock", _is_call("EmergenceReport")) == ["run_until_single_front"]
+    # a front is known by identity; the artifact writer numbers fronts as it
+    # prints them, so no front, state or module keeps an id counter
+    assert [f.name for f in dataclasses.fields(tracking._LiveFront)] == [
+        "x0", "t0", "speed", "left", "right", "prev", "next"]
+    for path in sorted((ROOT / "src" / "shocklab").glob("*.py")):
+        assert not _sites(path.stem, lambda n: isinstance(n, ast.Attribute)
+                          and n.attr in ("fid", "_fid")), path.name
 
 
 def _is_call(name):

@@ -161,7 +161,7 @@ def test_streamed_samples_follow_the_checks(steps):
     for dt, ok, x, speed in steps:
         t += dt
         times.append(t)
-        answers.append(tracking._LiveFront(0, x, t, speed, 1.0, 0.0) if ok else None)
+        answers.append(tracking._LiveFront(x, t, speed, 1.0, 0.0) if ok else None)
     script = iter(answers)
 
     def scripted_events(state, t_until):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lipschitz, mesh, random_step, refused
+from conftest import lipschitz, mesh, random_problem, random_step, refused
 from shocklab import errors, tracking
 from shocklab.flux import make_flux
 from shocklab.singleshock import run_until_single_front
@@ -56,6 +56,27 @@ def test_events_single_front_none():
     fl = burgers()
     s = init_state(fl, step([1.0, 0.0], [0.0]))
     assert next(events(s, math.inf), None) is None
+
+
+ENDLESS_WALKS = {
+    "parallel": (make_flux([-3, 0, 3], [4.5, 0, 4.5]), step([1.0, 0.0, 0.5], [0.0, 1.0])),
+    "one_merge": (mesh("burgers", -1, 3, 4.0, corners=(0.0, 1.0, 2.0)),
+                  step([2.0, 1.0, 0.0], [0.0, 1.0])),
+    **{f"random_{seed}_{convex}": random_problem(seed, convex)
+       for seed in range(4) for convex in (True, False)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENDLESS_WALKS))
+def test_endless_walk_stops_at_its_last_collision(case):
+    flux, u0 = ENDLESS_WALKS[case]
+    s = init_state(flux, u0)
+    log = list(events(s, math.inf))
+    assert s.t == (log[-1].t if log else 0.0)
+    assert repr(s.profile()) == repr(advance(init_state(flux, u0), s.t))
+    # no collision is pending, so a later walk meets none
+    assert list(events(s, s.t + 5.0)) == []
+    assert repr(s.profile()) == repr(advance(init_state(flux, u0), s.t))
 
 
 def test_three_front_symmetric_merge():
@@ -228,7 +249,7 @@ def test_determinism_bit_identical_logs(rng):
         advance(s, 12.0)
         # JSON text and repr tell -0.0 from 0.0, which == does not
         runs.append([
-            (json.dumps(r.to_json()), repr([(f.fid, f.x0, f.t0) for f in r.incoming]))
+            (json.dumps(r.to_json()), repr([(f.x0, f.t0) for f in r.incoming]))
             for r in s.event_log
         ])
     assert runs[0] == runs[1]
