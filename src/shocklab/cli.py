@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -52,7 +53,10 @@ def _floats(text: str) -> list[float]:
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse_args call starts
+    from a fresh namespace, so calls share no state."""
     ap = argparse.ArgumentParser(prog="shocklab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -101,8 +105,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("batch", help="run many scenario files")
     p.add_argument("scenarios", nargs="+")
     p.add_argument("--out", default="out")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ShockLabError as e:

@@ -16,14 +16,13 @@ pairs, such as those spanning an inflection, take the monotone chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .flux import Flux, hull
 
 
-@dataclass(frozen=True)
-class Front:
+class Front(NamedTuple):
     """Moving discontinuity with constant states on both sides."""
 
     speed: float

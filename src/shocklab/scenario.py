@@ -48,10 +48,19 @@ class Scenario:
             raise ValidationError("name", f"need a plain file name, got {n!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValidationError("run.t_max", f"need a finite positive horizon, got {self.t_max}")
+        # by time t no front is farther out than x + speed t; where that
+        # overflows, a profile could place fronts at +-inf
+        x = max(map(abs, self.initial_data().positions), default=0.0)
+        speed = max(map(abs, self.flux.slopes))
+        reach = lambda t: f"max |position| + max |flux slope| * t overflows at t = {t}"
+        if not math.isfinite(x + speed * self.t_max):
+            raise ValidationError("run.t_max", reach(self.t_max))
         files: dict[str, float] = {}
         for t in self.snapshots:
             if not (math.isfinite(t) and t >= 0):
                 raise ValidationError("run.snapshots", f"need finite times >= 0, got {t}")
+            if not math.isfinite(x + speed * t):
+                raise ValidationError("run.snapshots", reach(t))
             file = _profile_name(n, t)
             if files.setdefault(file, t) != t:
                 raise ValidationError("run.snapshots", f"{files[file]!r} and {t!r} share {file}")
@@ -399,36 +408,57 @@ def _num(v: float) -> str:
     return float.__repr__(v)
 
 
-def _write_logs(state: SimState, out: Path, name: str) -> None:
-    """Stream the event log and the front table in one walk of ``state.event_log``.
+class _Texts(dict):
+    """Number -> its text, each nonzero number formatted once.  Zeros are
+    formatted on every lookup and never kept, since 0.0 == -0.0 and each
+    keeps its sign."""
 
-    Each NDJSON line equals ``json.dumps(rec.to_json(), sort_keys=True)``.  The
-    table numbers fronts in birth order, the initial chain first, so the rows of
-    the fronts born at a record follow that record and reuse its printed t and
-    x.  A front's JSON object is made at its birth and reused at its death.
+    def __missing__(self, v: float) -> str:
+        s = _num(v)
+        if v:
+            self[v] = s
+        return s
+
+
+def _write_logs(state: SimState, out: Path, name: str) -> None:
+    """Stream the event log, then the front table, line by line.
+
+    Each NDJSON line equals ``json.dumps(rec.to_json(), sort_keys=True)``; a
+    front's JSON object is made at its birth and reused at its death.  The
+    table numbers fronts in birth order, the initial chain first, and gives
+    each a row where it starts and a row where it ends: at its death record's
+    t, or at state.t if it lives.
+
+    A run repeats its numbers: states and speeds recur across a lattice's few
+    fans, and a front starts at its birth record's t and x and ends at its
+    death record's t and, mostly, x.  So each nonzero number is formatted
+    once, through one memo.  End positions are only looked up in it, which
+    keeps it to the states, speeds, start positions and event times and places.
     """
-    ends = {f: rec.t for rec in state.event_log for f in rec.incoming}   # live ones end at state.t
-    packed: dict = {}   # live front -> its JSON object
-    ids = itertools.count()
+    text = _Texts()
 
     def pack(f) -> str:
-        return '{"l": %s, "r": %s, "s": %s}' % (_num(f.left), _num(f.right), _num(f.speed))
+        return '{"l": %s, "r": %s, "s": %s}' % (text[f.left], text[f.right], text[f.speed])
 
-    with (out / f"{name}_events.ndjson").open("w") as ev, (out / f"{name}_fronts.csv").open("w") as tb:
-        tb.write("front_id,t,x\n")
-        for f in state.initial:
-            i, te = next(ids), ends.get(f, state.t)
-            tb.write(f"{i},{f.t0!r},{f.x0!r}\n{i},{te!r},{f.pos(te)!r}\n")
+    with (out / f"{name}_events.ndjson").open("w") as ev:
+        packed: dict = {}   # live front -> its JSON object
         for rec in state.event_log:
-            t, x = _num(rec.t), _num(rec.x)
             dead = ", ".join([packed.pop(f, None) or pack(f) for f in rec.incoming])
             born = []
             for f in rec.outgoing:
                 packed[f] = p = pack(f)
                 born.append(p)
-                i, te = next(ids), ends.get(f, state.t)
-                tb.write(f"{i},{t},{x}\n{i},{te!r},{f.pos(te)!r}\n")
-            ev.write(f'{{"in": [{dead}], "out": [{", ".join(born)}], "t": {t}, "x": {x}}}\n')
+            ev.write(f'{{"in": [{dead}], "out": [{", ".join(born)}], '
+                     f'"t": {text[rec.t]}, "x": {text[rec.x]}}}\n')
+
+    died = {f: rec.t for rec in state.event_log for f in rec.incoming}   # live ones end at state.t
+    fronts = itertools.chain(state.initial, *(rec.outgoing for rec in state.event_log))
+    with (out / f"{name}_fronts.csv").open("w") as tb:
+        tb.write("front_id,t,x\n")
+        for i, f in enumerate(fronts):
+            te = died.get(f, state.t)
+            x = f.pos(te)
+            tb.write(f"{i},{text[f.t0]},{text[f.x0]}\n{i},{text[te]},{text.get(x) or _num(x)}\n")
 
 
 def run_scenario(s: Scenario, out_dir: str | Path) -> dict:

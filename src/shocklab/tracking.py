@@ -31,7 +31,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 from .flux import Flux
@@ -56,8 +56,7 @@ class _LiveFront:
         return self.x0 + self.speed * (t - self.t0)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """A collision at (t, x): ``incoming`` holds the tracked fronts that died
     there, unlinked, and ``outgoing`` the tracked fronts of the fan that
     replaced them, born there."""
@@ -136,7 +135,7 @@ class SimState:
         fan = self._fans.get(key)
         if fan is None:
             fan = self._fans[key] = solve_riemann(self.flux, l, r)
-        return tuple([_LiveFront(x, t, w.speed, w.left, w.right) for w in fan])
+        return tuple([_LiveFront(x, t, *w) for w in fan])
 
     # -- scheduling --------------------------------------------------------
 

@@ -1,21 +1,24 @@
-"""The one-pass log writer of ``run_scenario`` against the encoders it replaces.
+"""The streaming log writer of ``run_scenario`` against the encoders it replaces.
 
-``scenario._write_logs`` formats each event record directly and numbers the
-front table's rows as it writes them.  Its bytes must equal one
-``json.dumps(rec.to_json(), sort_keys=True)`` line per record, and the table
-of every front in birth order (the initial chain, then each record's born
-fronts) with its end time, on random problems with convex and non-convex
-flux, live fronts or none, and signed zeros among the states.
+``scenario._write_logs`` formats each event record directly, each repeated
+number once, and numbers the front table's rows as it writes them.  Its
+bytes must equal one ``json.dumps(rec.to_json(), sort_keys=True)`` line per
+record, and the table of every front in birth order (the initial chain,
+then each record's born fronts) with its end time, on random problems with
+convex and non-convex flux, live fronts or none, and signed zeros among the
+states.
 """
 
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mesh, random_problem
+from shocklab import scenario
 from shocklab.errors import ShockLabError, ValidationError
 from shocklab.scenario import _write_logs
 from shocklab.step import step
@@ -23,7 +26,7 @@ from shocklab.tracking import EventRecord, _LiveFront, advance, init_state
 
 
 def oracle_logs(state) -> tuple[str, str]:
-    """The event log and the front table, as written before the one-pass writer."""
+    """The event log and the front table, as written before the streaming writer."""
     events = "".join(json.dumps(rec.to_json(), sort_keys=True) + "\n" for rec in state.event_log)
     table = ["front_id,t,x\n"]
     # fronts in birth order: the initial chain, then each record's born ones
@@ -68,6 +71,23 @@ def test_writer_keeps_the_sign_of_zero(tmp_path):
     assert written_logs(state, tmp_path) == (events, table)
 
 
+@pytest.mark.parametrize("seed", [4, 5, 7])
+def test_writer_formats_each_repeated_number_once(tmp_path, monkeypatch, seed):
+    fl, u0 = random_problem(seed, convex=False)
+    state = init_state(fl, u0)
+    advance(state, 50.0)
+    formatted = Counter()
+    num = scenario._num
+    monkeypatch.setattr(scenario, "_num", lambda v: formatted.update([v]) or num(v))
+    assert written_logs(state, tmp_path) == oracle_logs(state)
+    fronts = [f for rec in state.event_log for f in rec.incoming + rec.outgoing]
+    printed = [v for f in fronts for v in (f.left, f.right, f.speed)]
+    printed += [rec.t for rec in state.event_log]
+    repeated = [v for v, k in Counter(printed).items() if v and k > 1]
+    assert len(state.event_log) > 5 and repeated
+    assert {formatted[v] for v in printed if v} == {1}
+
+
 def test_writer_on_a_state_without_events(tmp_path):
     state = init_state(mesh("burgers", -3, 3, 0.25), step([0.0, 1.0], [0.0]))
     advance(state, 5.0)   # a rarefaction: its fronts never meet
@@ -91,3 +111,12 @@ def test_writer_refuses_non_finite_numbers(tmp_path, field, bad):
     with pytest.raises(ValidationError) as err:
         _write_logs(state, tmp_path, "case")
     assert isinstance(err.value, ShockLabError)   # the CLI's exit 2
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_writer_refuses_non_finite_table_numbers(tmp_path, bad):
+    # the front table is CSV, but its numbers are checked as the log's are
+    state = init_state(mesh("burgers", -3, 3, 0.25), step([1.0, 0.0], [0.0]))
+    state.initial[0].x0 = bad
+    with pytest.raises(ValidationError):
+        _write_logs(state, tmp_path, "case")

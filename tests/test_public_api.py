@@ -9,6 +9,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import shocklab
 from shocklab import cli, errors, flux, riemann, scenario, singleshock, tracking
 
@@ -92,6 +94,22 @@ def test_one_owner_per_decision():
     for path in sorted((ROOT / "src" / "shocklab").glob("*.py")):
         assert not _sites(path.stem, lambda n: isinstance(n, ast.Attribute)
                           and n.attr in ("fid", "_fid")), path.name
+
+
+def test_records_are_named_tuples():
+    # immutable values with fixed fields: a fan's fronts and an event's record
+    assert riemann.Front._fields == ("speed", "left", "right")
+    assert tracking.EventRecord._fields == ("t", "x", "incoming", "outgoing")
+    front = riemann.Front(0.5, 1.0, 0.0)
+    rec = tracking.EventRecord(1.0, 0.5, (), ())
+    for value, name in ((front, "speed"), (front, "left"), (rec, "t"), (rec, "outgoing")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2.0)
+    assert repr(front) == "Front(speed=0.5, left=1.0, right=0.0)"
+    assert front.to_json() == {"speed": 0.5, "left": 1.0, "right": 0.0}
+    # a record is built where the tracker processes a collision, as a front
+    # is in the Riemann solver
+    assert _sites("tracking", _is_call("EventRecord")) == ["SimState._process"]
 
 
 def _is_call(name):

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from conftest import refused
-from shocklab import errors
+from shocklab import cli, errors
 from shocklab.cli import main as cli_main
 from shocklab.scenario import (
     PRESETS,
@@ -272,6 +273,41 @@ def test_cli_solve_extra_snapshots(tmp_path):
     rc = cli_main(["solve", "--preset", "counterexample_1", "--out", str(tmp_path), "--t", "7.5"])
     assert rc == 0
     assert (tmp_path / "counterexample_1_profile_t7.5.csv").exists()
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The names of the argument parsers built while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_cli_calls_share_one_parser_and_no_arguments(monkeypatch, parsers_built):
+    snapshots = []
+    monkeypatch.setattr(cli, "run_scenario", lambda s, out: snapshots.append(s.snapshots))
+    assert cli_main(["solve", "--preset", "counterexample_1", "--t", "3"]) == 0
+    first = len(parsers_built)   # 0 when an earlier call built the parser
+    assert cli_main(["solve", "--preset", "counterexample_1"]) == 0
+    assert len(parsers_built) == first
+    # the second call parses afresh: no --t, so no extra snapshot
+    assert 3.0 in snapshots[0] and 3.0 not in snapshots[1]
+
+
+def test_shared_parser_still_refuses_unknown_options(capsys, parsers_built):
+    assert cli_main(["check", "--preset", "burgers_shock"]) == 0
+    first = len(parsers_built)
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["check", "--preset", "burgers_shock", "--bogus"])
+    assert stop.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert cli_main(["check", "--preset", "burgers_shock"]) == 0
+    assert len(parsers_built) == first
 
 
 def test_cli_certify_explore_mode(capsys):

@@ -167,6 +167,23 @@ def test_input_that_would_lose_data_names_the_field(tmp_path, capsys, case):
     assert err.startswith(f"error: {field}: ")
 
 
+# a shock of speed 2.45 from x = 0: finite times at which its position overflows
+FAR = {"name": "far", "flux": {"kind": "burgers", "lo": -3, "hi": 3, "mesh": 0.05},
+       "data": {"A": 0, "B": 1, "u_minus": 2.9, "ubar": 2.0, "u_plus": 1.0}}
+# finite horizons that used to be blamed on the profile's positions
+FAR_TIMES = {
+    "huge_t_max": ({"t_max": 1e308, "snapshots": [0]}, "run.t_max"),
+    "huge_snapshot": ({"t_max": 50, "snapshots": [0, 1e308]}, "run.snapshots"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_TIMES))
+def test_time_that_would_overflow_a_position_names_the_field(tmp_path, capsys, case):
+    run, field = FAR_TIMES[case]
+    err = _check_rejected(_with(FAR, ("run",), run), tmp_path, capsys)
+    assert err.startswith(f"error: {field}: ")
+
+
 BAD_NAMES = ["../escaped", "a/b", "..", ".", "", "a\\b", "a\x00b", "/tmp/abs", 7, None]
 
 
