@@ -7,7 +7,6 @@ function.  The quadratic is (approximately) self-dual.
 import numpy as np
 
 from shocklab import AnalyticFluxSpec, approximate_pw_affine, bidual, legendre_dual, make_flux
-from shocklab.legendre import dual_bruteforce
 
 v_flux = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])
 d = legendre_dual(v_flux)
@@ -26,6 +25,8 @@ print(f"\nBurgers mesh (h={h}): dual vs p^2/2 (self-duality up to h^2/8):")
 for p in ps:
     print(f"  p={p:+.2f}   f*(p)={db(p):+.6f}   p^2/2={0.5 * p * p:+.6f}")
 
-brute = dual_bruteforce(burgers, ps)
+# the sup of a piecewise-affine conjugand is attained at a breakpoint
+q, gq = np.asarray(burgers.breakpoints), np.asarray(burgers.values)
+brute = np.max(np.multiply.outer(ps, q) - gq, axis=-1)
 print(f"\nmax |closed form - brute-force sup| over those p: "
       f"{max(abs(db(p) - b) for p, b in zip(ps, brute)):.2e}")

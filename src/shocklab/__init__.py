@@ -52,7 +52,8 @@ __all__ = [
     "Scenario", "load_scenario", "preset", "run_scenario",
 ]
 
-# the variational solvers need numpy, so they load on first use (PEP 562)
+# the variational solvers load on first use (PEP 562): laxoleinik and
+# characteristics need numpy
 _LAZY = {name: module for module, names in (
     ("legendre", "DualFlux bidual legendre_dual"),
     ("laxoleinik", "CharData PointValue solve_pointwise value_function"),

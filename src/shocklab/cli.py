@@ -17,12 +17,13 @@ from .errors import ShockLabError, ValidationError
 from .flux import make_flux
 from .riemann import solve_riemann
 from .scenario import (
-    PRESETS, _field, _numbers, load_scenario, preset, read_json, run_batch, run_scenario,
+    PRESETS, _field, _numbers, _scenario_walk, load_scenario, preset, read_json, run_batch,
+    run_scenario,
 )
 from .singleshock import certify, check_main_conditions, run_until_single_front
 from .step import StepFunction, step
 from .tracking import init_state
-# dual, laxoleinik and rcurve import the variational solvers, and numpy, as they run
+# dual, laxoleinik and rcurve import the variational solvers as they run; the last two need numpy
 
 
 def _load_flux(path: str):
@@ -157,24 +158,24 @@ def _dispatch(args) -> int:
         s = _scenario_from_args(args)
         if s.hypothesis is None:
             raise ValidationError("hypothesis", "scenario has no hypothesis block")
-        verdict = check_main_conditions(s.flux, s.hypothesis)
-        if args.cmd == "check" or not verdict.satisfied:
-            out = verdict.to_json()
-            if args.cmd == "certify" and args.explore:
-                # no certificate: just watch whether the data tails separate
-                state = init_state(s.flux, s.initial_data())
-                lr = (min(s.u_minus.values), max(s.u_minus.values))
-                rr = (min(s.u_plus.values), max(s.u_plus.values))
-                probe = run_until_single_front(state, lr, rr, s.t_max)
-                out["exploration"] = probe.to_json()
-            print(json.dumps(out, sort_keys=True, indent=2))
-            return 0 if verdict.satisfied else 3
-        report = certify(
-            s.flux, s.hypothesis, s.A, s.B, s.u_minus, s.ubar, s.u_plus,
-            t_max=s.t_max, verdict=verdict,
-        )
-        print(json.dumps(report.to_json(), sort_keys=True, indent=2))
-        return 0 if report.emerged else 4
+        with _scenario_walk():
+            verdict = check_main_conditions(s.flux, s.hypothesis)
+            if args.cmd == "check" or not verdict.satisfied:
+                out = verdict.to_json()
+                if args.cmd == "certify" and args.explore:
+                    # no certificate: just watch whether the data tails separate
+                    state = init_state(s.flux, s.initial_data())
+                    tails = [(tail.lo, tail.hi) for tail in (s.u_minus, s.u_plus)]
+                    probe = run_until_single_front(state, *tails, s.t_max)
+                    out["exploration"] = probe.to_json()
+                print(json.dumps(out, sort_keys=True, indent=2))
+                return 0 if verdict.satisfied else 3
+            report = certify(
+                s.flux, s.hypothesis, s.A, s.B, s.u_minus, s.ubar, s.u_plus,
+                t_max=s.t_max, verdict=verdict,
+            )
+            print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+            return 0 if report.emerged else 4
 
     if args.cmd == "batch":
         run_batch(args.scenarios, args.out)

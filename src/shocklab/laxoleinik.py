@@ -146,16 +146,14 @@ class _Objective:
         return self._v0(ys) + t * self._dual(p)
 
     def ties(
-        self, x: np.ndarray, t: np.ndarray, ys: np.ndarray, valid: np.ndarray | None = None
+        self, x: np.ndarray, t: np.ndarray, ys: np.ndarray, valid: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per row: the first minimum of the objective over the candidates ys
-        (those in valid, when given) and the mask of the candidates within the
-        tie tolerance 1e-9 (1 + |min|) of it.  A row whose minimum, or its
+        in valid and the mask of the valid candidates within the tie
+        tolerance 1e-9 (1 + |min|) of it.  A row whose minimum, or its
         tolerance, is not finite overflowed and is refused."""
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = self(x, t, ys)
-            if valid is not None:
-                phi = np.where(valid, phi, np.inf)
+            phi = np.where(valid, self(x, t, ys), np.inf)
             best = np.take_along_axis(phi, phi.argmin(axis=1)[:, None], axis=1)
             limit = best + 1e-9 * (1.0 + np.abs(best))
         bad = ~np.isfinite(limit[:, 0])
@@ -189,11 +187,10 @@ def value_function(fl: Flux, u0: StepFunction, x: float, t: float) -> CharData:
     objective.window(x, t)
     xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
     ys, valid = objective.candidates(xs, ts)
-    # distinct candidates in increasing order; of +0.0 and -0.0 the first listed
-    ys = ys[valid]
-    ys = ys[np.unique(ys, return_index=True)[1]][None, :]
-    best, tie = objective.ties(xs, ts, ys)
-    arg = tuple(float(y) for y in ys[tie])
+    best, tie = objective.ties(xs, ts, ys, valid)
+    # distinct minimizers in increasing order; of +0.0 and -0.0 the first listed
+    tied = ys[tie]
+    arg = tuple(float(y) for y in tied[np.unique(tied, return_index=True)[1]])
     return CharData(x, t, float(best[0]), arg[0], arg[-1], arg)
 
 

@@ -13,8 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ValidationError
 from .flux import Flux, make_flux
 
@@ -99,20 +97,18 @@ def legendre_dual(fl: Flux) -> DualFlux:
     """
     if not fl.is_convex():
         raise ValidationError("flux", "dual is defined for convex fluxes only")
-    # collapse runs of equal slopes, remembering each run's extent
+    # collapse runs of equal slopes, remembering each run's right end
     run_slope: list[float] = []
     run_right: list[float] = []   # right endpoint of the run (canonical maximizer)
-    run_left: list[float] = []
     for i, s in enumerate(fl.slopes):
         if run_slope and s == run_slope[-1]:
             run_right[-1] = fl.breakpoints[i + 1]
             continue
         run_slope.append(s)
-        run_left.append(fl.breakpoints[i])
         run_right.append(fl.breakpoints[i + 1])
     duals = [run_right[i] * run_slope[i] - fl(run_right[i]) for i in range(len(run_slope))]
-    # inner states: breakpoint shared by consecutive runs (= left end of next run)
-    states = tuple(run_left[i + 1] for i in range(len(run_slope) - 1))
+    # inner states: the breakpoint consecutive runs share, since runs are contiguous
+    states = tuple(run_right[:-1])
     return DualFlux(tuple(run_slope), tuple(duals), states)
 
 
@@ -138,10 +134,3 @@ def bidual(fl: Flux) -> Flux:
         ys.append(y1)
     return make_flux(xs, ys)
 
-
-def dual_bruteforce(fl: Flux, p: np.ndarray) -> np.ndarray:
-    """Direct sup over the breakpoint lattice (the sup of a pw-affine conjugand
-    is attained at a breakpoint); the tests' independent oracle."""
-    q = np.asarray(fl.breakpoints)
-    gq = np.asarray(fl.values)
-    return np.max(np.multiply.outer(np.asarray(p), q) - gq, axis=-1)

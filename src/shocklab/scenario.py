@@ -17,6 +17,7 @@ import json
 import math
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -461,6 +462,19 @@ def _write_logs(state: SimState, out: Path, name: str) -> None:
             tb.write(f"{i},{text[f.t0]},{text[f.x0]}\n{i},{text[te]},{text.get(x) or _num(x)}\n")
 
 
+@contextmanager
+def _scenario_walk():
+    """Refuse a scenario's walk past the event cap as ``run.t_max``, the
+    field that sets its length: no scenario file holds the walk's ``t_until``."""
+    try:
+        yield
+    except ValidationError as e:
+        if e.field != "t_until":
+            raise
+        raise ValidationError("run.t_max", str(e).partition(": ")[2]) from None
+
+
+@_scenario_walk()
 def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     """Execute one scenario; write profile CSVs, the event log, the front
     trajectory table, and the report JSON.  Returns the report dict.
@@ -493,8 +507,7 @@ def run_scenario(s: Scenario, out_dir: str | Path) -> dict:
     if s.hypothesis is not None:
         verdict = check_main_conditions(s.flux, s.hypothesis)
         laps["check"] = time.perf_counter()
-        report["kind"] = verdict.kind.value
-        report["witnesses"] = [w.to_json() for w in verdict.witnesses]
+        report.update(verdict.to_json())
         if verdict.satisfied:
             emergence = certify(
                 s.flux, s.hypothesis, s.A, s.B, s.u_minus, s.ubar, s.u_plus,

@@ -313,29 +313,16 @@ def in_range(v: float, rng: tuple[float, float]) -> bool:
 
 
 def _separating_front(s: SimState, left_range, right_range) -> _LiveFront | None:
-    """Leftmost front splitting left-range pieces from right-range pieces.
-
-    Scans the whole chain; the detector for ranges that may overlap, and the
-    oracle of ``_Separation``.
-    """
+    """Leftmost front splitting left-range pieces from right-range pieces:
+    the front right of the last piece outside right_range (the first front if
+    none is), when every piece up to it is in left_range.  Scans the whole
+    chain; the detector for ranges that may overlap, and the oracle of
+    ``_Separation``."""
     fronts = s.fronts
-    if not fronts:
-        return None
-    vals = [fronts[0].left] + [f.right for f in fronts]
-    n = len(fronts)
-    left_ok = [False] * (n + 2)
-    right_ok = [False] * (n + 2)
-    acc = True
-    for i in range(n + 1):
-        acc = acc and in_range(vals[i], left_range)
-        left_ok[i] = acc
-    acc = True
-    for i in range(n, -1, -1):
-        acc = acc and in_range(vals[i], right_range)
-        right_ok[i] = acc
-    for k in range(n):
-        if left_ok[k] and right_ok[k + 1]:
-            return fronts[k]
+    vals = [fronts[0].left] + [f.right for f in fronts] if fronts else []
+    k = max((i for i, v in enumerate(vals) if not in_range(v, right_range)), default=0)
+    if k < len(fronts) and all(in_range(v, left_range) for v in vals[: k + 1]):
+        return fronts[k]
     return None
 
 
@@ -474,12 +461,10 @@ def certify(
             "hypothesis", f"conditions violated: {[w.condition for w in verdict.witnesses]}"
         )
     left_range, right_range = ranges_for(verdict.kind, hp)
-    for v in u_minus.values:
-        if not in_range(v, left_range):
-            raise ValidationError("u_minus", f"value {v} outside {left_range}")
-    for v in u_plus.values:
-        if not in_range(v, right_range):
-            raise ValidationError("u_plus", f"value {v} outside {right_range}")
+    for field, tail, rng in (("u_minus", u_minus, left_range), ("u_plus", u_plus, right_range)):
+        for v in tail.values:
+            if not in_range(v, rng):
+                raise ValidationError(field, f"value {v} outside {rng}")
 
     u0 = assemble_initial_data(A, B, u_minus, ubar, u_plus)
     if state is None:

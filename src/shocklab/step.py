@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
@@ -51,13 +50,6 @@ class StepFunction:
     def tv(self) -> float:
         return sum(abs(b - a) for a, b in zip(self.values, self.values[1:]))
 
-    def tv_exact(self) -> Fraction:
-        """Total variation as an exact rational (floats are exact rationals)."""
-        out = Fraction(0)
-        for a, b in zip(self.values, self.values[1:]):
-            out += abs(Fraction(b) - Fraction(a))
-        return out
-
     def to_json(self) -> dict:
         return {"positions": list(self.positions), "values": list(self.values)}
 
@@ -79,35 +71,6 @@ def step(values: Sequence[float], positions: Sequence[float]) -> StepFunction:
 
 def constant(c: float) -> StepFunction:
     return StepFunction((), (float(c),))
-
-
-def l1_distance(u: StepFunction, v: StepFunction, a: float, b: float) -> float:
-    """Exact integral of |u - v| over [a, b]."""
-    xs = sorted({a, b, *(x for x in u.positions if a < x < b), *(x for x in v.positions if a < x < b)})
-    out = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
-        mid = 0.5 * (x0 + x1)
-        out += (x1 - x0) * abs(u(mid) - v(mid))
-    return out
-
-
-def everywhere_leq(u: StepFunction, v: StepFunction) -> bool:
-    """Pointwise u <= v on the merged partition; states compare exactly.
-
-    Cells narrower than position roundoff are skipped: a front computed along
-    two arithmetic paths may land a few ulps apart, opening a measure-zero
-    sliver where the profiles disagree spuriously.
-    """
-    xs = sorted(set(u.positions) | set(v.positions))
-    if not xs:
-        return u.values[0] <= v.values[0]
-    probes = [xs[0] - 1.0, xs[-1] + 1.0]
-    probes += [
-        0.5 * (a + b)
-        for a, b in zip(xs, xs[1:])
-        if b - a > 1e-11 * (1.0 + abs(a))
-    ]
-    return all(u(x) <= v(x) for x in probes)
 
 
 def assemble_initial_data(

@@ -1,5 +1,6 @@
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,50 @@ def ulps(v, k):
     for _ in range(abs(k)):
         v = math.nextafter(v, math.copysign(math.inf, k))
     return v
+
+
+def tv_exact(u):
+    """Total variation of the step function u as an exact rational (floats
+    are exact rationals)."""
+    return sum((abs(Fraction(b) - Fraction(a)) for a, b in zip(u.values, u.values[1:])),
+               Fraction(0))
+
+
+def l1_distance(u, v, a, b):
+    """Exact integral of |u - v| over [a, b] for step functions u, v."""
+    xs = sorted({a, b, *(x for x in u.positions if a < x < b), *(x for x in v.positions if a < x < b)})
+    out = 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        mid = 0.5 * (x0 + x1)
+        out += (x1 - x0) * abs(u(mid) - v(mid))
+    return out
+
+
+def everywhere_leq(u, v):
+    """Pointwise u <= v on the merged partition; states compare exactly.
+
+    Cells narrower than position roundoff are skipped: a front computed along
+    two arithmetic paths may land a few ulps apart, opening a measure-zero
+    sliver where the profiles disagree spuriously.
+    """
+    xs = sorted(set(u.positions) | set(v.positions))
+    if not xs:
+        return u.values[0] <= v.values[0]
+    probes = [xs[0] - 1.0, xs[-1] + 1.0]
+    probes += [
+        0.5 * (a + b)
+        for a, b in zip(xs, xs[1:])
+        if b - a > 1e-11 * (1.0 + abs(a))
+    ]
+    return all(u(x) <= v(x) for x in probes)
+
+
+def dual_bruteforce(fl, p):
+    """Direct sup over the breakpoint lattice of the conjugate of fl at the
+    slopes p (the sup of a pw-affine conjugand is attained at a breakpoint)."""
+    q = np.asarray(fl.breakpoints)
+    gq = np.asarray(fl.values)
+    return np.max(np.multiply.outer(np.asarray(p), q) - gq, axis=-1)
 
 
 def front_speed(fl, l, r):

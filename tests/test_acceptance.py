@@ -11,11 +11,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import lipschitz, mesh, random_convex_flux, random_flux, random_step
+from conftest import (
+    dual_bruteforce, everywhere_leq, l1_distance, lipschitz, mesh, random_convex_flux, random_flux,
+    random_step, tv_exact,
+)
 from shocklab.characteristics import r_curve
 from shocklab.flux import make_flux
 from shocklab.laxoleinik import solve_pointwise, value_function
-from shocklab.legendre import bidual, dual_bruteforce, legendre_dual
+from shocklab.legendre import bidual, legendre_dual
 from shocklab.riemann import oleinik_condition_e, solve_riemann
 from shocklab.scenario import preset, random_steps, run_scenario
 from shocklab.singleshock import (
@@ -26,7 +29,7 @@ from shocklab.singleshock import (
     compute_alpha0,
     run_until_single_front,
 )
-from shocklab.step import constant, everywhere_leq, l1_distance, step
+from shocklab.step import constant, step
 from shocklab.tracking import advance, init_state
 
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -92,16 +95,16 @@ def test_criterion_3_entropy_solution_invariants():
             v0 = step([v + b for v, b in zip(u0.values, bumps)], u0.positions)
             su, sv, sw = init_state(fl, u0), init_state(fl, v0), init_state(fl, w0)
             m = lipschitz(fl, min(u0.lo, w0.lo, v0.lo), max(u0.hi, w0.hi, v0.hi))
-            tv_u, tv_v, tv_w = u0.tv_exact(), v0.tv_exact(), w0.tv_exact()
+            tv_u, tv_v, tv_w = tv_exact(u0), tv_exact(v0), tv_exact(w0)
             for t in (0.4, 1.2, 3.0):
                 ut, vt, wt = advance(su, t), advance(sv, t), advance(sw, t)
                 a, b = -4.0, 4.0
                 assert l1_distance(ut, wt, a, b) <= l1_distance(u0, w0, a - m * t, b + m * t) + 1e-9
                 assert l1_distance(ut, vt, a, b) <= l1_distance(u0, v0, a - m * t, b + m * t) + 1e-9
                 assert everywhere_leq(ut, vt)
-                assert ut.tv_exact() <= tv_u
-                assert vt.tv_exact() <= tv_v
-                assert wt.tv_exact() <= tv_w
+                assert tv_exact(ut) <= tv_u
+                assert tv_exact(vt) <= tv_v
+                assert tv_exact(wt) <= tv_w
 
 
 def test_criterion_4_cross_solver():

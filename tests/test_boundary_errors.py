@@ -7,14 +7,14 @@ import math
 import pytest
 
 from conftest import refused
-from shocklab import singleshock
+from shocklab import singleshock, tracking
 from shocklab.characteristics import r_curve
 from shocklab.cli import _load_step
 from shocklab.cli import main as cli_main
 from shocklab.flux import hull, make_flux
 from shocklab.laxoleinik import solve_pointwise, value_function
 from shocklab.riemann import solve_riemann
-from shocklab.scenario import emit_scenario, preset, scenario_from_dict
+from shocklab.scenario import emit_scenario, preset, run_scenario, scenario_from_dict
 from shocklab.step import constant, step
 from shocklab.singleshock import EmergenceReport, check_main_conditions, certify, ranges_for
 from shocklab.tracking import SimState
@@ -310,3 +310,32 @@ def test_hypothesis_band_end_outside_slopes_names_the_field(tmp_path, capsys, cm
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith(f"error: hypothesis.{key}: ")
+
+
+# every scenario command that walks: the event cap is refused as the scenario
+# field that sets how far it walks, not as an argument of the tracker's walk
+CAPPED_RUNS = {
+    "solve": lambda tmp: ["solve", "--preset", "burgers_shock", "--out", str(tmp / "out")],
+    "batch": lambda tmp: ["batch", _write(tmp, "s.json", json.dumps({"preset": "burgers_shock"})),
+                          "--out", str(tmp / "out")],
+    "certify": lambda tmp: ["certify", "--preset", "burgers_shock"],
+    "explore": lambda tmp: ["certify", "--scenario", _write(tmp, "v.json", json.dumps(
+        _violated_burgers_shock())), "--explore"],
+}
+
+
+def _violated_burgers_shock():
+    """burgers_shock with C = a2, which fails its width ordering, so certify
+    --explore walks the data of a violated verdict."""
+    raw = emit_scenario(preset("burgers_shock"))
+    raw["hypothesis"]["C"] = raw["hypothesis"]["a2"]
+    return raw
+
+
+@pytest.mark.parametrize("run", sorted(CAPPED_RUNS))
+def test_scenario_run_past_the_event_cap_names_run_t_max(tmp_path, capsys, monkeypatch, run):
+    monkeypatch.setattr(tracking, "MAX_EVENTS", 10)
+    assert cli_main(CAPPED_RUNS[run](tmp_path)) == 2
+    assert capsys.readouterr().err == "error: run.t_max: more than 10 events\n"
+    with refused("run.t_max"):
+        run_scenario(preset("burgers_shock"), tmp_path / "lib")

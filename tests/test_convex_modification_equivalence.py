@@ -20,10 +20,10 @@ import math
 
 import numpy as np
 
-from conftest import mesh
+from conftest import l1_distance, mesh
 from shocklab.flux import hull
 from shocklab.laxoleinik import solve_pointwise
-from shocklab.step import l1_distance, step
+from shocklab.step import step
 from shocklab.tracking import advance, init_state
 
 SQ23 = math.sqrt(2.0 / 3.0)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import mesh, random_convex_flux, random_step, refused
+from conftest import l1_distance, mesh, random_convex_flux, random_step, refused
 from shocklab.flux import make_flux
 from shocklab.laxoleinik import _Primitive, solve_pointwise, value_function
 from shocklab.legendre import legendre_dual
-from shocklab.step import constant, l1_distance, step
+from shocklab.step import constant, step
 from shocklab.tracking import advance, init_state
 
 V_FLUX = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])

@@ -1,6 +1,7 @@
-"""numpy backs the variational solvers only (legendre, laxoleinik,
-characteristics): ``import shocklab`` and the tracker commands of the CLI run
-without loading it, and the first use of a solver name loads it."""
+"""numpy backs the matrix kernel of the variational solvers only (laxoleinik,
+characteristics): ``import shocklab``, ``shocklab.legendre``, the tracker
+commands of the CLI and its ``dual`` command run without loading it, and the
+first use of a kernel name loads it."""
 
 import json
 import os
@@ -57,10 +58,10 @@ def test_tracker_commands_leave_numpy_unloaded(tmp_path):
     assert out == {"codes": [0, 3, 0, 0, 0], "tracker": False, "by_name": True, "star": True}
 
 
-def test_dual_command_loads_numpy(tmp_path):
+def test_dual_command_leaves_numpy_unloaded(tmp_path):
     flux = tmp_path / "flux.json"
     flux.write_text('{"breakpoints": [-2, 0, 2], "values": [2, 0, 2]}')
     out = _run("import sys; from shocklab import cli; cli.main(['dual', '--flux', sys.argv[1]]);"
                "print('numpy' in sys.modules)", str(flux))
-    assert out.splitlines()[-1] == "True"
+    assert out.splitlines() == ['{"breakpoints": [-1.0, 1.0], "values": [-0.0, 0.0]}', "False"]
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import mesh, random_convex_flux, refused
+from conftest import dual_bruteforce, mesh, random_convex_flux, refused
 from shocklab.flux import make_flux
-from shocklab.legendre import bidual, dual_bruteforce, legendre_dual
+from shocklab.legendre import bidual, legendre_dual
 
 V_FLUX = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])
 

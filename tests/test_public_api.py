@@ -1,6 +1,7 @@
 """The package exports an explicit list of public names: each one resolves,
-none is a module or a private helper, a star import gives exactly them, and
-each one has a job outside the tests."""
+none is a module or a private helper, and a star import gives exactly them.
+Each of them, and each public function, class and method of the package, has
+a job outside the tests."""
 
 import ast
 import dataclasses
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import shocklab
-from shocklab import cli, errors, flux, riemann, scenario, singleshock, tracking
+from shocklab import cli, errors, flux, legendre, riemann, scenario, singleshock, step, tracking
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +41,9 @@ def test_all_lists_public_names_only():
         assert gone not in names and not hasattr(shocklab, gone), gone
     # test-only helpers, now oracles in tests/conftest.py
     assert not hasattr(riemann, "front_speed") and not hasattr(shocklab.Flux, "lipschitz")
+    assert not hasattr(step, "l1_distance") and not hasattr(step, "everywhere_leq")
+    assert not hasattr(shocklab.StepFunction, "tv_exact")
+    assert not hasattr(legendre, "dual_bruteforce")
 
 
 def test_unused_convex_modification_api_is_gone():
@@ -136,16 +140,35 @@ def _sites(module, match):
     return found
 
 
+def _public_defs():
+    """The exported names, every public module-level function and class of
+    src/shocklab, and every public method of those classes."""
+    names = set(shocklab.__all__)
+    for path in sorted((ROOT / "src" / "shocklab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(m.name for m in node.body
+                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    return names
+
+
 def test_every_public_name_has_a_use():
     """A word match outside the name's own def or class line, in src/ (less
-    the package's re-exports), demos/ or perfbench/."""
+    the package's re-exports), demos/ or perfbench/: the library keeps no
+    code that only the tests run."""
     files = [p for d in ("src", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     lines = [
         line for p in files if p != ROOT / "src" / "shocklab" / "__init__.py"
         for line in p.read_text().splitlines()
     ]
+    names = _public_defs()
+    # module functions outside __all__ and methods are checked too
+    assert {"assemble_initial_data", "tv", "left_state"} <= names
     unused = set()
-    for name in shocklab.__all__:
+    for name in sorted(names):
         word = re.compile(rf"\b{name}\b")
         own = re.compile(rf"\s*(def|class)\s+{name}\b")
         if not any(word.search(line) and not own.match(line) for line in lines):

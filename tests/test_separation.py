@@ -265,6 +265,57 @@ def test_overlapping_ranges_take_the_scan(monkeypatch):
     assert built == disjoint
 
 
+def leftmost_split(s, left_range, right_range):
+    """The rule written out: the leftmost front with every piece left of it
+    in left_range and every piece right of it in right_range."""
+    fronts = s.fronts
+    vals = [fronts[0].left] + [f.right for f in fronts] if fronts else []
+    for k, f in enumerate(fronts):
+        if (all(in_range(v, left_range) for v in vals[: k + 1])
+                and all(in_range(v, right_range) for v in vals[k + 1:])):
+            return f
+    return None
+
+
+@st.composite
+def chain_ranges(draw, s):
+    """Two ranges with ends on the states of the chain of s, overlapping or
+    not; or the hulls of the pieces either side of a drawn front."""
+    fronts = s.fronts
+    vals = [fronts[0].left] + [f.right for f in fronts] if fronts else s.profile().values
+    if fronts and draw(st.booleans()):
+        k = draw(st.integers(0, len(fronts) - 1))
+        return (min(vals[: k + 1]), max(vals[: k + 1])), (min(vals[k + 1:]), max(vals[k + 1:]))
+    ends = st.lists(st.sampled_from(sorted(set(vals))), min_size=2, max_size=2).map(sorted)
+    return tuple(draw(ends)), tuple(draw(ends))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, T_MAX), st.data())
+def test_scan_is_the_leftmost_split(seed, convex, t, data):
+    fl, u0 = random_problem(seed, convex)
+    s = init_state(fl, u0)
+    advance(s, t)
+    left_range, right_range = data.draw(chain_ranges(s), label="ranges")
+    assert _separating_front(s, left_range, right_range) is leftmost_split(
+        s, left_range, right_range)
+
+
+@pytest.mark.parametrize("flux, data, n_fronts", [
+    (make_flux(*ANNIHILATING_FLUX), step(*ANNIHILATING_DATA), 0),
+    (mesh("burgers", -3.0, 3.0, 0.5), step([1.0, 0.0], [0.0]), 1),   # the 1 -> 0 shock
+])
+def test_scan_on_empty_and_one_front_chains(flux, data, n_fronts):
+    s = init_state(flux, data)
+    advance(s, 2.0)
+    assert len(s.fronts) == n_fronts
+    ends = sorted({-1.0, 0.0, 1.0, 2.0})
+    spans = [(a, b) for a in ends for b in ends if a <= b]
+    for left_range, right_range in itertools.product(spans, repeat=2):
+        assert _separating_front(s, left_range, right_range) is leftmost_split(
+            s, left_range, right_range)
+
+
 @given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(0, 1e3), st.floats(-1e3, 1e3, allow_nan=False),
        st.floats(0, 1e3))
 @example(0.0, 1.0, 1.0000000000000002, 1.0)   # the ends one float step apart

@@ -3,14 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import refused
+from conftest import everywhere_leq, l1_distance, refused, tv_exact
 from shocklab import errors
 from shocklab.step import (
     StepFunction,
     assemble_initial_data,
     constant,
-    everywhere_leq,
-    l1_distance,
     step,
 )
 
@@ -55,7 +53,7 @@ def test_right_continuous_evaluation():
 def test_tv_and_exact_tv():
     u = step([0.1, 0.3, 0.7], [0.0, 1.0])
     assert u.tv() == pytest.approx(0.6)
-    assert u.tv_exact() == Fraction(u.values[1]) - Fraction(u.values[0]) + (
+    assert tv_exact(u) == Fraction(u.values[1]) - Fraction(u.values[0]) + (
         Fraction(u.values[2]) - Fraction(u.values[1])
     )
 

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import itertools
 import json
 import math
 import weakref
@@ -8,11 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lipschitz, mesh, random_problem, random_step, refused
+from conftest import (
+    everywhere_leq, l1_distance, lipschitz, mesh, random_problem, random_step, refused, tv_exact,
+)
 from shocklab import errors, tracking
 from shocklab.flux import make_flux
+from shocklab.scenario import PRESETS, preset, random_steps
 from shocklab.singleshock import run_until_single_front
-from shocklab.step import constant, everywhere_leq, l1_distance, step
+from shocklab.step import constant, step
 from shocklab.tracking import advance, events, init_state
 
 V_FLUX = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])
@@ -197,9 +202,9 @@ def test_tv_never_increases(rng):
     for _ in range(20):
         u0 = random_step(rng, 6, -1.5, 1.5)
         s = init_state(fl, u0)
-        tv0 = u0.tv_exact()
+        tv0 = tv_exact(u0)
         for t in (0.2, 0.5, 1.0, 3.0, 8.0):
-            assert advance(s, t).tv_exact() <= tv0
+            assert tv_exact(advance(s, t)) <= tv0
 
 
 def test_maximum_principle(rng):
@@ -276,6 +281,49 @@ def test_walked_state_freed_by_reference_counting(walk):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _walks_to_the_end():
+    """(flux, data, end) of each preset walked to its t_max, then with 200
+    random middle steps of seed 3 in its recipe's range (the range of its
+    tails when it has none), then of random problems 0-19 of both kinds
+    walked past their last collision."""
+    for name, raw in sorted(PRESETS.items()):
+        s = preset(name)
+        ubar = raw["data"]["ubar"]
+        if isinstance(ubar, dict):
+            lo, hi = ubar["random"]["lo"], ubar["random"]["hi"]
+        else:
+            lo, hi = sorted((s.u_minus.values[0], s.u_plus.values[0]))
+        variant = dataclasses.replace(s, ubar=random_steps(200, lo, hi, 3, s.A, s.B))
+        yield s.flux, s.initial_data(), s.t_max
+        yield variant.flux, variant.initial_data(), variant.t_max
+    for seed, convex in itertools.product(range(20), (True, False)):
+        yield *random_problem(seed, convex), math.inf
+
+
+def test_no_walk_leaves_a_reference_cycle():
+    # the tracker unlinks every dead front and a state breaks its own links
+    # when it dies, so no walk needs the cycle collector to free its state
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        walks = n_events = 0
+        for fl, u0, end in _walks_to_the_end():
+            s = init_state(fl, u0)
+            for _ in events(s, end):
+                pass
+            walks += 1
+            n_events += s.events_processed
+            ref = weakref.ref(s)
+            del s
+            assert ref() is None
+            assert gc.collect() == 0
+        assert walks == 52 and n_events > 10_000
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_front_count_bound(rng):
