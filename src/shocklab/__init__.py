@@ -27,10 +27,8 @@ from .singleshock import (
     ConditionVerdict,
     EmergenceReport,
     HypothesisParams,
-    HypothesisReport,
     VerdictKind,
     certify,
-    check_hypothesis_H,
     check_main_conditions,
     compute_alpha0,
     run_until_single_front,
@@ -47,8 +45,7 @@ __all__ = [
     "SimState", "advance", "events", "init_state", "run_until_single_front", "CharData",
     "PointValue", "solve_pointwise", "value_function", "CharCurve",
     "is_characteristic_line", "r_curve", "ConditionVerdict", "HypothesisParams",
-    "HypothesisReport", "VerdictKind", "certify",
-    "check_hypothesis_H", "check_main_conditions", "compute_alpha0", "speed_gap_bound",
+    "VerdictKind", "certify", "check_main_conditions", "compute_alpha0", "speed_gap_bound",
     "Scenario", "load_scenario", "preset", "run_scenario",
 ]
 

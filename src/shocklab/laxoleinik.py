@@ -21,6 +21,7 @@ all samples of a curve at once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,15 +196,27 @@ def value_function(fl: Flux, u0: StepFunction, x: float, t: float) -> CharData:
 
 
 def _side_value(
-    dual: DualFlux, u0: StepFunction, x: float, t: float, y: float, side: str
+    fl: Flux, dual: DualFlux, u0: StepFunction, x: float, t: float, y: float, side: str
 ) -> float:
-    """Solution value carried by the characteristic with foot y."""
-    jump_tol = 1e-12 * (1.0 + abs(y))
-    on_jump = any(abs(y - xj) <= jump_tol for xj in u0.positions)
-    if not on_jump:
+    """Solution value carried by the characteristic with foot y.
+
+    From a data jump the characteristic of slope p = (x - y)/t carries the
+    maximizer of pq - f(q) nearest the jump's state on ``side``.  The
+    maximizers are one dual state, or at a dual breakpoint b, whose ray
+    x - t b meets the jump, f's whole run of slope b: it reaches fl.lo at
+    dual.lo and fl.hi at dual.hi.
+    """
+    tol = 1e-12 * (1.0 + abs(y))
+    k = next((k for k, xj in enumerate(u0.positions) if abs(y - xj) <= tol), None)
+    if k is None:
         return u0(y)
-    p = min(max((x - y) / t, dual.lo), dual.hi)
-    return dual.left_state(p) if side == "left" else dual.right_state(p)
+    ends = (fl.lo, *dual.states, fl.hi)
+    at = [i for i, b in enumerate(dual.breakpoints) if abs(x - t * b - y) <= tol]
+    if at:
+        lo, hi = ends[at[0]], ends[at[-1] + 1]
+    else:
+        lo = hi = ends[bisect_right(dual.breakpoints, (x - y) / t)]
+    return min(max(u0.values[k + (side == "right")], lo), hi)
 
 
 def solve_pointwise(fl: Flux, u0: StepFunction, x: float, t: float) -> PointValue:
@@ -217,6 +230,6 @@ def solve_pointwise(fl: Flux, u0: StepFunction, x: float, t: float) -> PointValu
     """
     cd = value_function(fl, u0, x, t)
     dual = legendre_dual(fl)
-    left = _side_value(dual, u0, x, t, cd.y_minus, "left")
-    right = _side_value(dual, u0, x, t, cd.y_plus, "right")
+    left = _side_value(fl, dual, u0, x, t, cd.y_minus, "left")
+    right = _side_value(fl, dual, u0, x, t, cd.y_plus, "right")
     return PointValue(left, right, left != right)

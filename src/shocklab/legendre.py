@@ -64,20 +64,6 @@ class DualFlux:
             return self.values[i]
         return self.values[i] + self.states[i] * (p - self.breakpoints[i])
 
-    def left_state(self, p: float) -> float:
-        """Maximizer for slopes just below p (left derivative of the dual)."""
-        p = self._clamp(p)
-        i = bisect_right(self.breakpoints, p) - 1
-        if p == self.breakpoints[max(i, 0)]:
-            i -= 1
-        return self.states[min(max(i, 0), len(self.states) - 1)]
-
-    def right_state(self, p: float) -> float:
-        """Maximizer for slopes just above p (right derivative of the dual)."""
-        p = self._clamp(p)
-        i = bisect_right(self.breakpoints, p) - 1
-        return self.states[min(max(i, 0), len(self.states) - 1)]
-
     def as_flux(self) -> Flux:
         if len(self.breakpoints) < 2:
             raise ValidationError("breakpoints", "single-point dual has no flux representation")
@@ -97,11 +83,12 @@ def legendre_dual(fl: Flux) -> DualFlux:
     """
     if not fl.is_convex():
         raise ValidationError("flux", "dual is defined for convex fluxes only")
-    # collapse runs of equal slopes, remembering each run's right end
+    # collapse runs of equal slopes, remembering each run's right end; a slope
+    # not above its run's, a drop is_convex tolerates, joins the run
     run_slope: list[float] = []
     run_right: list[float] = []   # right endpoint of the run (canonical maximizer)
     for i, s in enumerate(fl.slopes):
-        if run_slope and s == run_slope[-1]:
+        if run_slope and s <= run_slope[-1]:
             run_right[-1] = fl.breakpoints[i + 1]
             continue
         run_slope.append(s)

@@ -1,7 +1,7 @@
 """Decide the single-shock emergence conditions for a flux/data configuration,
 compute analytic collision-time bounds, and certify emergence empirically.
 
-The decision layer checks, on the breakpoint lattice:
+``check_main_conditions`` decides, on the breakpoint lattice:
   * the standing hypothesis: slope-band preimages on both convex branches
     collapse onto [a1, a2] and [b2, b1], plus the width ordering
     a2 + (b1 - b2) < C <= D < b2 - (a2 - a1);
@@ -75,13 +75,6 @@ class Witness:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    passed: bool
-    triplet: TripletClass
-    failures: tuple[Witness, ...]
-
-
 class VerdictKind(Enum):
     SATISFIED_I = "I"
     SATISFIED_II1 = "II.1"
@@ -111,8 +104,25 @@ def _strict_less(lhs: float, rhs: float) -> tuple[bool, bool]:
     return lhs < rhs - tol, abs(lhs - rhs) <= tol
 
 
-def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
-    """Verify the slope-preimage identities and width ordering on the lattice."""
+def _require(failures: list[Witness], condition: str, theta: float | None,
+             lhs: float, rhs: float, less: bool = True) -> None:
+    """Append a Witness (condition, theta, lhs, rhs) to failures unless lhs < rhs
+    strictly, or rhs < lhs when not ``less``."""
+    ok, boundary = _strict_less(lhs, rhs) if less else _strict_less(rhs, lhs)
+    if not ok:
+        failures.append(Witness(condition, theta, lhs, rhs, boundary))
+
+
+def check_main_conditions(fl: Flux, hp: HypothesisParams) -> ConditionVerdict:
+    """Decide the standing hypothesis and which emergence condition holds.
+
+    A failed hypothesis (slope-band preimages, width ordering) is VIOLATED
+    with its witnesses only.  Then each orientation in turn: f below the three
+    chords on [C, D] for convex-convex (I); for convex-concave, f above them
+    with f(b2) below the a1 tangent (II.1), then f below them with the b1
+    tangent below f(a2) (II.2).  The first orientation with no witness is the
+    verdict, otherwise VIOLATED with every orientation's witnesses in order.
+    """
     # band slopes are left slopes, which exist on (lo, hi]
     if not fl.lo < hp.a1:
         raise ValidationError("hypothesis.a1", f"need flux.lo = {fl.lo} < a1, got {hp.a1}")
@@ -120,90 +130,46 @@ def check_hypothesis_H(fl: Flux, hp: HypothesisParams) -> HypothesisReport:
         raise ValidationError("hypothesis.b1", f"need b1 <= flux.hi = {fl.hi}, got {hp.b1}")
     triplet = classify_triplet(fl, hp.C, hp.D)
     if triplet is TripletClass.NEITHER:
-        raise ValidationError(
-            "hypothesis", "flux is not convex-convex or convex-concave at (C, D)"
-        )
+        raise ValidationError("hypothesis",
+                              "flux is not convex-convex or convex-concave at (C, D)")
     failures: list[Witness] = []
-
-    def band(x1: float, x2: float) -> tuple[float, float]:
-        s1, s2 = fl.left_slope(x1), fl.left_slope(x2)
-        return min(s1, s2), max(s1, s2)
-
-    def preimage_check(lo_band, x_lo, x_hi, region, label):
+    # the nodes whose left slope is in a band's slope range are its interval's
+    for side, x_lo, x_hi, region in (
+        ("left", hp.a1, hp.a2, [x for x in fl.breakpoints if fl.lo < x < hp.C]),
+        ("right", hp.b2, hp.b1, [x for x in fl.breakpoints if hp.D < x <= fl.hi]),
+    ):
+        s_lo, s_hi = sorted((fl.left_slope(x_lo), fl.left_slope(x_hi)))
         for x in region:
             s = fl.left_slope(x)
-            in_band = lo_band[0] - SLOPE_TOL <= s <= lo_band[1] + SLOPE_TOL
-            in_interval = x_lo <= x <= x_hi
-            if in_band != in_interval:
-                failures.append(Witness(label, x, s, lo_band[0], False))
-
-    left_region = [x for x in fl.breakpoints if fl.lo < x < hp.C]
-    preimage_check(band(hp.a1, hp.a2), hp.a1, hp.a2, left_region, "slope-preimage-left")
-    right_region = [x for x in fl.breakpoints if hp.D < x <= fl.hi]
-    preimage_check(band(hp.b1, hp.b2), hp.b2, hp.b1, right_region, "slope-preimage-right")
-
+            if (s_lo - SLOPE_TOL <= s <= s_hi + SLOPE_TOL) != (x_lo <= x <= x_hi):
+                failures.append(Witness(f"slope-preimage-{side}", x, s, s_lo, False))
     lo_shift, hi_shift = hp.shifted_pair
-    ok, boundary = _strict_less(lo_shift, hp.C)
-    if not ok:
-        failures.append(Witness("width-left", None, lo_shift, hp.C, boundary))
-    ok, boundary = _strict_less(hp.D, hi_shift)
-    if not ok:
-        failures.append(Witness("width-right", None, hp.D, hi_shift, boundary))
-    return HypothesisReport(not failures, triplet, tuple(failures))
-
-
-def _chord_conditions(
-    fl: Flux, hp: HypothesisParams, want_below: bool
-) -> list[Witness]:
-    """Strict comparison of f against the three secant lines on [C, D]."""
-    lo_shift, hi_shift = hp.shifted_pair
-    pairs = [("a1-b1", hp.a1, hp.b1), ("a2-b2", hp.a2, hp.b2), ("shifted", lo_shift, hi_shift)]
-    failures = []
-    for theta in _lattice(fl, hp.C, hp.D):
-        f_theta = fl(theta)
-        for name, a, b in pairs:
-            line = eval_chord(fl, a, b, theta)
-            lhs, rhs = (f_theta, line) if want_below else (line, f_theta)
-            ok, boundary = _strict_less(lhs, rhs)
-            if not ok:
-                failures.append(Witness(f"chord-{name}", theta, f_theta, line, boundary))
-    return failures
-
-
-def check_main_conditions(fl: Flux, hp: HypothesisParams) -> ConditionVerdict:
-    """Decide which emergence condition the configuration satisfies.
-
-    Convex-convex triplets are tested against the below-chords condition;
-    convex-concave triplets against above-chords plus tangent clearance
-    (condition 1), then below-chords plus the mirrored tangent clearance
-    (condition 2).  Failures carry the offending theta and both sides.
-    """
-    hrep = check_hypothesis_H(fl, hp)
-    if not hrep.passed:
-        return ConditionVerdict(VerdictKind.VIOLATED, hrep.failures)
-    if hrep.triplet is TripletClass.CONVEX_CONVEX:
-        failures = _chord_conditions(fl, hp, want_below=True)
-        if not failures:
-            return ConditionVerdict(VerdictKind.SATISFIED_I, ())
+    _require(failures, "width-left", None, lo_shift, hp.C)
+    _require(failures, "width-right", None, hp.D, hi_shift)
+    if failures:
         return ConditionVerdict(VerdictKind.VIOLATED, tuple(failures))
 
-    # convex-concave: condition 1, then condition 2
-    fail1 = _chord_conditions(fl, hp, want_below=False)
-    tang1 = eval_tangent(fl, hp.a1, hp.b2)
-    ok, boundary = _strict_less(fl(hp.b2), tang1)
-    if not ok:
-        fail1.append(Witness("tangent-a1-at-b2", hp.b2, tang1, fl(hp.b2), boundary))
-    if not fail1:
-        return ConditionVerdict(VerdictKind.SATISFIED_II1, ())
-
-    fail2 = _chord_conditions(fl, hp, want_below=True)
-    tang2 = eval_tangent(fl, hp.b1, hp.a2)
-    ok, boundary = _strict_less(tang2, fl(hp.a2))
-    if not ok:
-        fail2.append(Witness("tangent-b1-at-a2", hp.a2, tang2, fl(hp.a2), boundary))
-    if not fail2:
-        return ConditionVerdict(VerdictKind.SATISFIED_II2, ())
-    return ConditionVerdict(VerdictKind.VIOLATED, tuple(fail1 + fail2))
+    pairs = [("a1-b1", hp.a1, hp.b1), ("a2-b2", hp.a2, hp.b2), ("shifted", lo_shift, hi_shift)]
+    chords = [(f"chord-{name}", theta, fl(theta), eval_chord(fl, a, b, theta))
+              for theta in _lattice(fl, hp.C, hp.D) for name, a, b in pairs]
+    # (kind, f below the chords, the tangent's condition, base and the point it is read at)
+    if triplet is TripletClass.CONVEX_CONVEX:
+        orientations = [(VerdictKind.SATISFIED_I, True, None)]
+    else:
+        orientations = [(VerdictKind.SATISFIED_II1, False, ("tangent-a1-at-b2", hp.a1, hp.b2)),
+                        (VerdictKind.SATISFIED_II2, True, ("tangent-b1-at-a2", hp.b1, hp.a2))]
+    for kind, below, tangent in orientations:
+        fails: list[Witness] = []
+        for condition, theta, f_theta, line in chords:
+            _require(fails, condition, theta, f_theta, line, less=below)
+        if tangent:
+            # shown as (tangent, f): the tangent clears f as f clears the chords
+            condition, base, at = tangent
+            _require(fails, condition, at, eval_tangent(fl, base, at), fl(at), less=below)
+        if not fails:
+            return ConditionVerdict(kind, ())
+        failures += fails
+    return ConditionVerdict(VerdictKind.VIOLATED, tuple(failures))
 
 
 def compute_alpha0(fl: Flux, beta2: float, hi: float | None = None) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import l1_distance, mesh, random_convex_flux, random_step, refused
+from conftest import l1_distance, mesh, random_convex_flux, random_problem, random_step, refused
 from shocklab.flux import make_flux
-from shocklab.laxoleinik import _Primitive, solve_pointwise, value_function
+from shocklab.laxoleinik import PointValue, _Primitive, solve_pointwise, value_function
 from shocklab.legendre import legendre_dual
 from shocklab.step import constant, step
 from shocklab.tracking import advance, init_state
@@ -65,6 +67,36 @@ def test_solve_pointwise_burgers_shock_sides():
 def test_solve_pointwise_constant():
     pv = solve_pointwise(burgers(), constant(0.37), 1.3, 2.0)
     assert pv.left == 0.37 and pv.right == 0.37
+
+
+@pytest.mark.parametrize("fl, u0, x, sides", [
+    (make_flux([-3.0, 3.0], [-3.0, 3.0]), step([1.0, 0.0], [0.0]), 1.0, (1.0, 0.0)),
+    (V_FLUX, step([0.8, 0.2], [0.0]), 1.0, (0.8, 0.2)),
+    (V_FLUX, step([-0.5, 0.5], [0.0]), 1.0, (0.0, 0.5)),
+    (V_FLUX, step([-1.8, -1.2], [0.0]), -3.0, (-1.8, -1.2)),
+], ids=["affine", "contact", "fan-edge", "contact-at-dual-lo"])
+def test_solve_pointwise_at_a_jump_foot_keeps_the_jumps_states(fl, u0, x, sides):
+    # the characteristic from the jump at 0 runs along a segment of f, whose
+    # states between the jump's two are all maximizers of pq - f(q)
+    assert solve_pointwise(fl, u0, x, 1.0) == PointValue(*sides, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(0, 10), k=st.integers(0, 30),
+       t=st.sampled_from([0.125, 0.5, 1.0, 2.0]))
+def test_solve_pointwise_on_jump_characteristics_stays_in_the_datas_range(seed, j, k, t):
+    # the ray from a data jump at a slope of f, or between two, at time t
+    fl, u0 = random_problem(seed, convex=True)
+    j %= len(u0.positions)
+    slopes = legendre_dual(fl).breakpoints
+    p = slopes[k % len(slopes)] if k < 20 else 0.5 * (slopes[k % len(slopes)] + slopes[-1])
+    x = u0.positions[j] + p * t
+    pv, cd = solve_pointwise(fl, u0, x, t), value_function(fl, u0, x, t)
+    for side, foot in ((pv.left, cd.y_minus), (pv.right, cd.y_plus)):
+        assert min(u0.values) <= side <= max(u0.values)
+        if foot == u0.positions[j]:
+            # a side carried from the jump lies between the jump's states
+            assert min(u0.values[j : j + 2]) <= side <= max(u0.values[j : j + 2])
 
 
 def test_monotone_feet(rng):

@@ -116,9 +116,18 @@ def test_dual_domain_is_slope_range():
 
 def test_dual_states_are_one_sided_derivatives():
     d = legendre_dual(V_FLUX)
-    # slope band (-1, 1) maximized by the kink at 0
-    assert d.left_state(0.0) == 0.0
-    assert d.right_state(0.0) == 0.0
-    # at a dual node the maximizer set is a whole segment
-    assert d.left_state(1.0) == 0.0
-    assert d.right_state(1.0) == 1.0
+    # each slope band between dual nodes is maximized by one kink of V, which
+    # is the dual's slope there
+    assert d.states == (-1.0, 0.0, 1.0)
+    for (p0, p1), q in zip(zip(d.breakpoints, d.breakpoints[1:]), d.states):
+        assert d(p1) - d(p0) == q * (p1 - p0)
+
+
+def test_dual_breakpoints_increase_past_a_tolerated_slope_drop():
+    # the third slope is 2e-13 below the second, a drop is_convex tolerates
+    fl = make_flux([0, 1, 2, 3], [0, 1, 2 - 1e-13, 3])
+    assert fl.is_convex()
+    d = legendre_dual(fl)
+    assert all(a < b for a, b in zip(d.breakpoints, d.breakpoints[1:])), d.breakpoints
+    ps = np.linspace(d.lo, d.hi, 9)
+    assert_allclose([d(p) for p in ps], dual_bruteforce(fl, ps), rtol=0, atol=1e-15)

@@ -91,6 +91,13 @@ def test_one_owner_per_decision():
     assert sorted(set(_sites("tracking", _is_call("_schedule")))) == splice
     assert _sites("riemann", _is_call("Front")) == ["solve_riemann"]
     assert _sites("singleshock", _is_call("EmergenceReport")) == ["run_until_single_front"]
+    # one entry decides the theorem's conditions, and one helper turns a failed
+    # strict inequality into a witness; the band check records the others
+    assert _sites("singleshock", _is_call("Witness")) == ["_require", "check_main_conditions"]
+    assert sorted(set(_sites("singleshock", _is_call("_strict_less")))) == [
+        "_require", "compute_alpha0"]
+    for gone in ("check_hypothesis_H", "HypothesisReport", "_chord_conditions"):
+        assert not hasattr(singleshock, gone) and not hasattr(shocklab, gone), gone
     # a front is known by identity; the artifact writer numbers fronts as it
     # prints them, so no front, state or module keeps an id counter
     assert [f.name for f in dataclasses.fields(tracking._LiveFront)] == [
@@ -166,7 +173,7 @@ def test_every_public_name_has_a_use():
     ]
     names = _public_defs()
     # module functions outside __all__ and methods are checked too
-    assert {"assemble_initial_data", "tv", "left_state"} <= names
+    assert {"assemble_initial_data", "tv", "outside"} <= names
     unused = set()
     for name in sorted(names):
         word = re.compile(rf"\b{name}\b")

@@ -1,26 +1,34 @@
+import hashlib
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mesh, refused
 from shocklab import errors
 from shocklab.cli import main as cli_main
-from shocklab.scenario import _counterexample_2_flux, emit_scenario, preset, random_steps
+from shocklab.scenario import PRESETS, _counterexample_2_flux, emit_scenario, preset, random_steps
 from shocklab.singleshock import (
+    STRICT_TOL,
     HypothesisParams,
     VerdictKind,
     certify,
-    check_hypothesis_H,
     check_main_conditions,
     compute_alpha0,
     speed_gap_bound,
 )
 from shocklab.step import constant, step as step_fn
-from shocklab.flux import make_flux
+from shocklab.flux import (
+    SLOPE_TOL, TripletClass, classify_triplet, eval_chord, eval_tangent, make_flux,
+)
 
 V_FLUX = make_flux([-2, -1, 0, 1, 2], [4, 1, 0, 1, 4])
 SQ23 = math.sqrt(2.0 / 3.0)
+# sha256 of the verdicts of test_verdict_bytes_on_a_seeded_sweep, one JSON line each
+VERDICT_SWEEP_SHA256 = "d619c4faebb5f2790177e7976022e206ea974294d9547c48687346d30c602ed1"
 
 
 def burgers(h=0.05):
@@ -38,30 +46,28 @@ def double_well(h=0.05):
 
 def test_hypothesis_burgers_passes():
     hp = HypothesisParams(-1.0, -1.0, 0.0, 0.0, 1.0, 1.0)
-    rep = check_hypothesis_H(mesh("burgers", -3, 3, 0.05, corners=(-1.0, 0.0, 1.0)), hp)
-    assert rep.passed, rep.failures
+    verdict = check_main_conditions(mesh("burgers", -3, 3, 0.05, corners=(-1.0, 0.0, 1.0)), hp)
+    assert verdict.satisfied, verdict.witnesses
 
 
 def test_hypothesis_neg_cubic_passes():
     hp = HypothesisParams(-0.5, -0.5, 0.0, 0.0, 2.0, 2.0)
-    rep = check_hypothesis_H(neg_cubic(), hp)
-    assert rep.passed, rep.failures
+    verdict = check_main_conditions(neg_cubic(), hp)
+    assert verdict.satisfied, verdict.witnesses
 
 
 def test_hypothesis_ordering_failure_surfaces_as_violation():
     fl = mesh("burgers", -3, 3, 0.05, corners=(-1.0, 0.0, 1.0))
     hp = HypothesisParams(-1.0, 0.0, 0.0, 0.0, 1.0, 1.0)  # a2 == C
-    rep = check_hypothesis_H(fl, hp)
-    assert not rep.passed
-    assert any(w.condition.startswith("width") for w in rep.failures)
     verdict = check_main_conditions(fl, hp)
     assert verdict.kind is VerdictKind.VIOLATED
+    assert any(w.condition.startswith("width") for w in verdict.witnesses)
 
 
 def test_hypothesis_requires_triplet():
     fl = double_well()
     with refused("hypothesis"):
-        check_hypothesis_H(fl, HypothesisParams(-3.0, -3.0, -0.1, 0.1, 3.0, 3.0))
+        check_main_conditions(fl, HypothesisParams(-3.0, -3.0, -0.1, 0.1, 3.0, 3.0))
 
 
 def test_conditions_burgers_satisfied_i():
@@ -286,9 +292,9 @@ def test_hypothesis_fails_on_slope_plateau():
     )
     # slopes: -2, -1, 1, 1, 1.1, 2.2 -> plateau of slope 1 on [-0.6, 0.0]
     hp = HypothesisParams(-1.0, -0.2, 0.1, 0.1, 1.0, 2.0)
-    rep = check_hypothesis_H(fl, hp)
-    assert not rep.passed
-    assert any(w.condition == "slope-preimage-left" for w in rep.failures)
+    verdict = check_main_conditions(fl, hp)
+    assert not verdict.satisfied
+    assert any(w.condition == "slope-preimage-left" for w in verdict.witnesses)
 
 
 def test_certify_with_step_valued_tails():
@@ -305,3 +311,115 @@ def test_certify_with_step_valued_tails():
     # post-collapse interface separates the two bands, orientation I
     assert rep.left_range == (2.5, 2.6)
     assert rep.right_range == (-2.6, -2.5)
+
+
+# -- the verdicts' bytes and their requirements --------------------------------
+
+def _draw(fl, hp, rng):
+    """HypothesisParams on the lattice of fl: C and D within three nodes of
+    hp's, a1 <= a2 left of C and b2 <= b1 right of D, each drawn by rng."""
+    lat = [x for x in fl.breakpoints if fl.lo < x]
+    i = min(range(len(lat)), key=lambda k: abs(lat[k] - hp.C))
+    j = min(range(len(lat)), key=lambda k: abs(lat[k] - hp.D))
+    i = max(2, min(len(lat) - 3, i + rng.randint(-3, 3)))
+    j = max(i, min(len(lat) - 3, j + rng.randint(-3, 3)))
+    a1, a2 = sorted(rng.choices(lat[:i], k=2))
+    b2, b1 = sorted(rng.choices(lat[j + 1:], k=2))
+    return HypothesisParams(a1, a2, lat[i], lat[j], b2, b1)
+
+
+def _verdict_record(fl, hp):
+    try:
+        return check_main_conditions(fl, hp).to_json()
+    except errors.ValidationError as err:
+        return {"refused": err.field}
+
+
+def test_verdict_bytes_on_a_seeded_sweep():
+    # each preset's own hypothesis and 40 draws around it: I, II.1, II.2,
+    # violated with and without boundary witnesses, and refused triplets
+    lines, kinds = [], set()
+    for name in sorted(PRESETS):
+        s = preset(name)
+        rng = random.Random(name)
+        for hp in [s.hypothesis] + [_draw(s.flux, s.hypothesis, rng) for _ in range(40)]:
+            rec = _verdict_record(s.flux, hp)
+            kinds.add(rec.get("kind", "refused"))
+            kinds.update("boundary" for w in rec.get("witnesses", ()) if w["at_boundary"])
+            lines.append(json.dumps(rec))
+    assert kinds == {"I", "II.1", "II.2", "violated", "boundary", "refused"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == VERDICT_SWEEP_SHA256
+
+
+def _requirements(fl, hp, kind):
+    """(condition, theta, lhs, rhs, smaller, larger) of each strict
+    inequality smaller < larger that the satisfied ``kind`` demands beyond
+    the hypothesis, restated from eval_chord and eval_tangent."""
+    lo_shift, hi_shift = hp.shifted_pair
+    below = kind is not VerdictKind.SATISFIED_II1
+    out = []
+    for theta in sorted({hp.C, hp.D, *fl.nodes_in(hp.C, hp.D)}):
+        for name, a, b in (("a1-b1", hp.a1, hp.b1), ("a2-b2", hp.a2, hp.b2),
+                           ("shifted", lo_shift, hi_shift)):
+            f, line = fl(theta), eval_chord(fl, a, b, theta)
+            out.append((f"chord-{name}", theta, f, line, *((f, line) if below else (line, f))))
+    if kind is VerdictKind.SATISFIED_II1:
+        tang = eval_tangent(fl, hp.a1, hp.b2)
+        out.append(("tangent-a1-at-b2", hp.b2, tang, fl(hp.b2), fl(hp.b2), tang))
+    elif kind is VerdictKind.SATISFIED_II2:
+        tang = eval_tangent(fl, hp.b1, hp.a2)
+        out.append(("tangent-b1-at-a2", hp.a2, tang, fl(hp.a2), tang, fl(hp.a2)))
+    return out
+
+
+def _fails(smaller, larger):
+    """(not strictly smaller, within the STRICT_TOL band)."""
+    tol = STRICT_TOL * (1.0 + max(abs(smaller), abs(larger)))
+    return not smaller < larger - tol, abs(smaller - larger) <= tol
+
+
+def _witnessed(requirements):
+    """(condition, theta, lhs, rhs, at_boundary) of each failed requirement."""
+    return [(c, th, lhs, rhs, _fails(sm, lg)[1])
+            for c, th, lhs, rhs, sm, lg in requirements if _fails(sm, lg)[0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)), rng=st.randoms(use_true_random=False))
+def test_witnesses_restate_their_requirements(name, rng):
+    s = preset(name)
+    fl, hp = s.flux, _draw(s.flux, s.hypothesis, rng)
+    try:
+        verdict = check_main_conditions(fl, hp)
+    except errors.ValidationError as err:
+        assert err.field == "hypothesis"
+        assert classify_triplet(fl, hp.C, hp.D) is TripletClass.NEITHER
+        return
+    got = [(w.condition, w.theta, w.lhs, w.rhs, w.at_boundary) for w in verdict.witnesses]
+    preimage = [w for w in verdict.witnesses if w.condition.startswith("slope-preimage")]
+    for w in preimage:
+        # a node whose left slope is in the band's slope range exactly when
+        # the node is outside the band
+        x_lo, x_hi = (hp.a1, hp.a2) if w.condition.endswith("left") else (hp.b2, hp.b1)
+        s_lo, s_hi = sorted((fl.left_slope(x_lo), fl.left_slope(x_hi)))
+        assert (w.lhs, w.rhs, w.at_boundary) == (fl.left_slope(w.theta), s_lo, False)
+        assert (s_lo - SLOPE_TOL <= w.lhs <= s_hi + SLOPE_TOL) != (x_lo <= w.theta <= x_hi)
+    lo_shift, hi_shift = hp.shifted_pair
+    width = _witnessed([("width-left", None, lo_shift, hp.C, lo_shift, hp.C),
+                        ("width-right", None, hp.D, hi_shift, hp.D, hi_shift)])
+    if preimage or width:
+        assert verdict.kind is VerdictKind.VIOLATED and got[len(preimage):] == width
+        return
+    if classify_triplet(fl, hp.C, hp.D) is TripletClass.CONVEX_CONVEX:
+        orientations = [VerdictKind.SATISFIED_I]
+    else:
+        orientations = [VerdictKind.SATISFIED_II1, VerdictKind.SATISFIED_II2]
+    failed = []
+    for kind in orientations:
+        witnessed = _witnessed(_requirements(fl, hp, kind))
+        if not witnessed:
+            assert verdict.kind is kind and got == []
+            return
+        failed += witnessed
+    assert verdict.kind is VerdictKind.VIOLATED and got == failed
